@@ -191,25 +191,29 @@ def verify_no_collapse(
 
     Every embedded pair whose observations lie in R* (distinguishable, hence
     outside the largest bisimulation) must sit at l2 distance >= eps_collapse.
+    Pairs (i, j), i < j, are taken one row i at a time, so violations come in
+    row-major order.
     """
     if embs.source_ids is None:
         raise ValueError("verify_no_collapse requires source_ids")
     n = len(embs)
+    ids, v = embs.source_ids, embs.vectors
     violations: list[tuple[int, int, float]] = []
     pairs_checked = 0
     min_cross = np.inf
     max_within = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            oi, oj = int(embs.source_ids[i]), int(embs.source_ids[j])
-            dist = float(np.linalg.norm(embs.vectors[i] - embs.vectors[j]))
-            if r_star.bits[oi, oj]:
-                pairs_checked += 1
-                min_cross = min(min_cross, dist)
-                if dist < eps_collapse:
-                    violations.append((oi, oj, dist))
-            else:
-                max_within = max(max_within, dist)
+    for i in range(n - 1):
+        diff = v[i + 1 :] - v[i]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        cross = r_star.bits[ids[i], ids[i + 1 :]]
+        if cross.any():
+            pairs_checked += int(cross.sum())
+            min_cross = min(min_cross, float(dist[cross].min()))
+            hit = np.flatnonzero(cross & (dist < eps_collapse))
+            oi = int(ids[i])
+            violations += [(oi, oj, d) for oj, d in zip(ids[i + 1 + hit].tolist(), dist[hit].tolist())]
+        if not cross.all():
+            max_within = max(max_within, float(dist[~cross].max()))
     return CollapseReport(
         pairs_checked=pairs_checked,
         violations=violations,
@@ -230,9 +234,9 @@ def median_pairwise_distance(vectors: np.ndarray) -> float:
 
 
 def write_distance_csv(dm: DistanceMatrix, path: str) -> None:
+    line = ",".join(["%.9g"] * dm.matrix.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in dm.matrix:
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in dm.matrix)
 
 
 def write_heatmap_ppm(dm: DistanceMatrix, path: str) -> None:

@@ -61,7 +61,7 @@ def least_fixed_point(
         iterations += 1
         frontier = int(np.sum(nxt.bits & ~rel.bits))
         trace.append(frontier)
-        if frontier == 0 and nxt == rel:
+        if frontier == 0:
             break
         rel = nxt
     return rel, iterations, trace
@@ -192,17 +192,17 @@ def build_co_observed_index(ds: TransitionDataset) -> CoObservedIndex:
     errors = ds.validate()
     if errors:
         raise ValueError("inconsistent dataset: " + "; ".join(errors))
-    obs_ids = np.unique(ds.sources)
+    # the unique values come sorted; their first index in reverse is each source's last record
+    obs_ids, from_end = np.unique(ds.sources[::-1], return_index=True)
     m = obs_ids.shape[0]
-    dense = {int(o): k for k, o in enumerate(obs_ids.tolist())}
-    aux = np.zeros((m, ds.aux_dim))
+    k = np.searchsorted(obs_ids, ds.sources)
+    t = np.minimum(np.searchsorted(obs_ids, ds.successors), max(m - 1, 0))
     has_action = np.zeros((m, ds.num_actions), dtype=bool)
+    has_action[k, ds.actions] = True
+    # validated determinism: repeated (source, action) records share a successor
     succ_dense = np.full((m, ds.num_actions), -1, dtype=np.int64)
-    for s, a, t, p in zip(ds.sources.tolist(), ds.actions.tolist(), ds.successors.tolist(), ds.aux):
-        k = dense[s]
-        aux[k] = p
-        has_action[k, a] = True
-        succ_dense[k, a] = dense.get(t, -1)
+    succ_dense[k, ds.actions] = np.where(obs_ids[t] == ds.successors, t, -1)
+    aux = ds.aux[len(ds) - 1 - from_end]
     return CoObservedIndex(obs_ids=obs_ids, aux=aux, has_action=has_action, succ_dense=succ_dense)
 
 
@@ -224,7 +224,7 @@ def empirical_apply_F(
         clause = padded[np.ix_(succ, succ)]
         clause &= has[:, None] & has[None, :]
         out |= clause
-    return out if isinstance(out, PairRelation) else PairRelation(out)
+    return PairRelation(out)
 
 
 def empirical_lfp(

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,13 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_DIVERGENCE = 4
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("BISIMLAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _sha256(path: Path) -> str:
@@ -118,10 +110,7 @@ def cmd_empirical_bisim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     rel_path = out / "relation.csv"
-    with open(rel_path, "w") as fh:
-        fh.write("i,j\n")
-        for i, j in r_star_d.pairs():
-            fh.write(f"{index.obs_ids[i]},{index.obs_ids[j]}\n")
+    write_relation_csv(r_star_d, str(rel_path), index.obs_ids)
     summary = {
         "num_sources": index.num_sources,
         "pairs_in_R": r_star_d.count(),
@@ -301,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counting", nargs=2, type=int, metavar=("MAX_COUNT", "TARGET_N"))
     p.add_argument("--engine", choices=("naive", "refine"), default="refine")
     p.add_argument("--aux-tol", type=float, default=0.0)
-    p.add_argument("--skip-fixed-point-check", action="store_true")
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("empirical-bisim", help="empirical largest bisimulation of a dataset")
@@ -317,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-count", type=int, default=8)
     p.add_argument("--target-n", type=int, default=4)
     p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--channels", type=int, default=1)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="train a preset")
@@ -363,7 +351,6 @@ def _collect_defaults(parser: argparse.ArgumentParser) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     args.config_extras = {}

@@ -13,21 +13,13 @@ frame 2k+1 its successor image.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = b"BSLB"
 SIDECAR_MAGIC = b"BSLI"
 FORMAT_VERSION = 1
-
-
-@dataclass
-class TransitionRecord:
-    source: int
-    action: int
-    successor: int
-    aux_value: np.ndarray  # float [d_p]
 
 
 @dataclass
@@ -56,16 +48,14 @@ class TransitionDataset:
     def aux_dim(self) -> int:
         return self.aux.shape[1]
 
-    def record(self, k: int) -> TransitionRecord:
-        return TransitionRecord(
-            source=int(self.sources[k]),
-            action=int(self.actions[k]),
-            successor=int(self.successors[k]),
-            aux_value=self.aux[k].copy(),
-        )
-
     def validate(self) -> list[str]:
-        """Determinism and aux-consistency violations; empty list means valid."""
+        """Determinism and aux-consistency violations; empty list means valid.
+
+        Errors come in a fixed order: out-of-range columns, then determinism
+        violations in record order (each naming the first successor seen for
+        its (source, action)), then aux inconsistencies in record order. Aux
+        vectors compare with ==, so a record whose aux holds NaN is flagged.
+        """
         errors: list[str] = []
         for arr, name, bound in (
             (self.sources, "source", self.num_observations),
@@ -74,30 +64,28 @@ class TransitionDataset:
         ):
             if arr.size and (arr.min() < 0 or arr.max() >= bound):
                 errors.append(f"{name} index out of range")
-        seen_succ: dict[tuple[int, int], int] = {}
-        for s, a, t in zip(self.sources.tolist(), self.actions.tolist(), self.successors.tolist()):
-            prev = seen_succ.setdefault((s, a), t)
-            if prev != t:
-                errors.append(f"determinism violation at (source={s}, action={a}): {prev} vs {t}")
-        seen_aux: dict[int, np.ndarray] = {}
-        for s, p in zip(self.sources.tolist(), self.aux):
-            prev_p = seen_aux.setdefault(s, p)
-            if not np.array_equal(prev_p, p):
-                errors.append(f"aux inconsistency at source={s}")
+        first = _first_of_group(self.sources, self.actions)
+        bad = np.nonzero(self.successors != self.successors[first])[0]
+        rows = zip(self.sources[bad].tolist(), self.actions[bad].tolist(),
+                   self.successors[first[bad]].tolist(), self.successors[bad].tolist())
+        errors += [f"determinism violation at (source={s}, action={a}): {prev} vs {t}" for s, a, prev, t in rows]
+        first = _first_of_group(self.sources)
+        bad = np.nonzero(~np.all(self.aux == self.aux[first], axis=1))[0]
+        errors += [f"aux inconsistency at source={s}" for s in self.sources[bad].tolist()]
         return errors
 
 
-def concat_datasets(a: TransitionDataset, b: TransitionDataset) -> TransitionDataset:
-    if (a.num_observations, a.num_actions, a.aux_dim) != (b.num_observations, b.num_actions, b.aux_dim):
-        raise ValueError("dataset dimensions differ")
-    return TransitionDataset(
-        num_observations=a.num_observations,
-        num_actions=a.num_actions,
-        sources=np.concatenate([a.sources, b.sources]),
-        actions=np.concatenate([a.actions, b.actions]),
-        successors=np.concatenate([a.successors, b.successors]),
-        aux=np.concatenate([a.aux, b.aux]),
-    )
+def _first_of_group(*keys: np.ndarray) -> np.ndarray:
+    """For each record, the index of the first record with the same keys."""
+    order = np.lexsort(keys[::-1])  # stable: ties keep record order
+    starts = np.zeros(order.shape[0], dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    first = np.empty_like(order)
+    first[order] = order[np.maximum.accumulate(np.where(starts, np.arange(order.shape[0]), 0))]
+    return first
 
 
 def save_dataset(ds: TransitionDataset, path: str) -> None:

@@ -3,7 +3,7 @@
 A PairRelation is a symmetric boolean |O|x|O| matrix. At desk scale
 (|O| up to a few thousand) a byte-per-entry numpy matrix fits easily in
 memory and vectorizes every sweep, so we store plain bool rather than packed
-bits; `packed_rows` gives the bit-packed form for compact export.
+bits.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# matrix cells per row block in complement_is_transitive
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -64,14 +67,21 @@ class PairRelation:
         return list(zip(ii.tolist(), jj.tolist()))
 
     def complement_is_transitive(self) -> bool:
-        """Whether (O x O) \\ R is transitive (boolean matrix check)."""
-        comp = ~self.bits
-        closure = (comp.astype(np.uint8) @ comp.astype(np.uint8)) > 0
-        return bool(np.all(~closure | comp))
+        """Whether (O x O) \\ R is transitive.
 
-    def packed_rows(self) -> np.ndarray:
-        """Rows packed to bits (uint8, big-endian within a byte)."""
-        return np.packbits(self.bits, axis=1)
+        Counts two-step paths through the complement C with a float32 matrix
+        product, a block of rows at a time: C is transitive when no pair with
+        a path count above zero lies in R. The counts are sums of 0/1 terms,
+        exact below 2**24 and never rounded down to zero above it.
+        """
+        n = self.num_observations
+        comp = (~self.bits).astype(np.float32)
+        rows = max(1, _BLOCK_CELLS // max(n, 1))
+        for r0 in range(0, n, rows):
+            paths = comp[r0 : r0 + rows] @ comp
+            if np.any((paths > 0) & self.bits[r0 : r0 + rows]):
+                return False
+        return True
 
 
 @dataclass
@@ -86,15 +96,6 @@ class Partition:
     def num_observations(self) -> int:
         return self.block_of.shape[0]
 
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for obs, blk in enumerate(self.block_of.tolist()):
-            out[blk].append(obs)
-        return out
-
-    def same_block(self, i: int, j: int) -> bool:
-        return bool(self.block_of[i] == self.block_of[j])
-
 
 def canonicalize_blocks(labels: np.ndarray) -> Partition:
     """Renumber arbitrary block labels so block ids sort by smallest member."""
@@ -107,11 +108,21 @@ def canonicalize_blocks(labels: np.ndarray) -> Partition:
     return Partition(block_of=block_of, num_blocks=len(first_seen))
 
 
-def write_relation_csv(rel: PairRelation, path: str) -> None:
+def write_relation_csv(rel: PairRelation, path: str, ids: np.ndarray | None = None) -> None:
+    """One "i,j" line per unordered pair i < j of the relation, in row order.
+
+    `ids` maps matrix indices to the observation ids written; by default the
+    indices themselves. Each matrix row becomes one write.
+    """
+    n = rel.num_observations
+    names = [str(v) for v in (range(n) if ids is None else np.asarray(ids).tolist())]
     with open(path, "w") as fh:
         fh.write("i,j\n")
-        for i, j in rel.pairs():
-            fh.write(f"{i},{j}\n")
+        for i, row in enumerate(rel.bits):
+            js = np.flatnonzero(row[i + 1 :]) + (i + 1)
+            if js.size:
+                head = names[i] + ","
+                fh.write(head + ("\n" + head).join(map(names.__getitem__, js.tolist())) + "\n")
 
 
 def write_partition_csv(part: Partition, path: str) -> None:

@@ -1,12 +1,18 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bisimlab
+from bisimlab import cli
 from bisimlab.cli import main
 from bisimlab.mdp import random_mdp, save_mdp_json
+from bisimlab.train import collected_train_data
 
 
 def run(argv, capsys):
@@ -204,8 +210,54 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert metrics[-1]["step"] == 40
 
 
-def test_thread_cap_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BISIMLAB_THREADS", "1")
-    code, _, _ = run(["bisim", "--counting", "2", "1", "--out-dir", str(tmp_path)], capsys)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# records the BLAS thread variables at the moment numpy is first imported
+NUMPY_IMPORT_SPY = f"""
+import json, os, sys
+seen = {{}}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in {THREAD_VARS!r}}})
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Spy())
+import bisimlab.cli
+print(json.dumps(seen))
+"""
+
+
+def test_thread_cap_env():
+    # OpenBLAS reads its thread count when numpy loads, so BISIMLAB_THREADS
+    # must be copied into the BLAS variables before that first import
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["BISIMLAB_THREADS"] = "1"
+    src = str(Path(bisimlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == {v: "1" for v in THREAD_VARS}
+
+
+def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypatch):
+    # collect's default channel count must match what train --dataset decodes,
+    # or colored objects that miss the red plane come out as blank frames
+    data_dir = tmp_path / "data"
+    code, _, _ = run(["collect", "--steps", "120", "--out-dir", str(data_dir)], capsys)
     assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+    seen = []
+
+    def spy(collected):
+        seen.append(collected)
+        return collected_train_data(collected)
+
+    monkeypatch.setattr(cli, "collected_train_data", spy)
+    code, _, _ = run(["train", "--preset", "reward_aux", "--dataset", str(data_dir / "dataset.bslb"),
+                      "--steps", "2", "--out-dir", str(tmp_path / "run")], capsys)
+    assert code == 0
+    (collected,) = seen
+    for frames, counts in ((collected.source_frames, collected.dataset.sources),
+                           (collected.successor_frames, collected.dataset.successors)):
+        lit = frames.reshape(len(frames), -1).max(axis=1) > 0
+        assert np.all(lit[counts > 0])
+        assert not np.any(lit[counts == 0])
