@@ -9,6 +9,8 @@ Run: python3 demos/04_counting_environment.py
 """
 
 import collections
+import os
+import tempfile
 
 import numpy as np
 
@@ -38,7 +40,8 @@ print(f"empirical relation: {index.num_sources} sources, "
       f"{rel.count()} distinguishable ordered pairs "
       f"(all pairs = {index.num_sources * (index.num_sources - 1)})")
 
-# write one frame out as a viewable image
-with open("/tmp/counting_frame.ppm", "wb") as fh:
+# write one frame out as a viewable image, in the temporary directory ($TMPDIR)
+frame_path = os.path.join(tempfile.gettempdir(), "counting_frame.ppm")
+with open(frame_path, "wb") as fh:
     fh.write(ppm_bytes(collected.source_frames[0]))
-print("sample frame written to /tmp/counting_frame.ppm")
+print(f"sample frame written to {frame_path}")

@@ -1,10 +1,10 @@
 """Train the tabular counting preset and mechanically verify no-collapse.
 
 One-hot observations, joint loss (latent dynamics consistency + reward
-auxiliary), trained with the in-house autodiff and Adam. After training, the
-encoder's embeddings are checked against the exact bisimulation: every
-distinguishable pair must stay separated by a margin tied to the embedding
-scale. Takes a couple of minutes on one core.
+auxiliary), trained with the model's explicit backward and Adam. After
+training, the encoder's embeddings are checked against the exact
+bisimulation: every distinguishable pair must stay separated by a margin tied
+to the embedding scale. Takes about ten seconds on one core.
 
 Run: python3 demos/05_train_and_verify.py
 """
@@ -34,7 +34,7 @@ final = result.metrics[-1]
 print(f"after {final['step']} steps: dyn {final['dyn_loss']:.2e}, "
       f"aux {final['aux_loss']:.2e}")
 
-vectors = encode(result.best_params, one_hot_observations(mdp)).data
+vectors = encode(result.best_params, one_hot_observations(mdp))
 labels = np.arange(mdp.num_observations)
 acc = nearest_centroid_accuracy(vectors, labels)
 print(f"nearest-centroid accuracy: {acc:.2f}")

@@ -3,13 +3,15 @@
 Trains a quick tabular model, then produces the analysis artifacts: a 2-D
 principal projection (power iteration, no linear-algebra solver), the sorted
 pairwise-distance matrix with class boundaries, and the scalar collapse
-diagnostics. Artifacts land in /tmp/bisimlab_demo/.
+diagnostics. Artifacts land in bisimlab_demo/ under the temporary directory
+($TMPDIR, /tmp by default).
 
 Run: python3 demos/06_embedding_diagnostics.py
 """
 
 import dataclasses
 import pathlib
+import tempfile
 
 import numpy as np
 
@@ -29,14 +31,14 @@ from bisimlab.nn import encode
 from bisimlab.presets import preset_train_config
 from bisimlab.train import tabular_train_data, train
 
-out = pathlib.Path("/tmp/bisimlab_demo")
+out = pathlib.Path(tempfile.gettempdir()) / "bisimlab_demo"
 out.mkdir(exist_ok=True)
 
 mdp = counting_abstract_mdp(max_count=8, target_n=4)
 config = dataclasses.replace(preset_train_config("tabular_counting", seed=0), steps=4000)
 result = train(config, tabular_train_data(mdp))
 
-vectors = encode(result.best_params, one_hot_observations(mdp)).data
+vectors = encode(result.best_params, one_hot_observations(mdp))
 labels = np.arange(mdp.num_observations)
 embs = EmbeddingSet(vectors=vectors, labels=labels, source_ids=labels)
 

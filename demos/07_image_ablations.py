@@ -40,7 +40,7 @@ for name, over in variants.items():
                       eval_every=500, report_every=500,
                       **{"base_lr": 1e-3, **over})
     result = train(cfg, data)
-    vectors = encode(result.best_params, eval_obs).data
+    vectors = encode(result.best_params, eval_obs)
     ratio = collapse_ratio(vectors, eval_labels)
     acc = nearest_centroid_accuracy(vectors, eval_labels)
     print(f"{name:<12} {ratio:>14.3f} {acc:>13.3f}")

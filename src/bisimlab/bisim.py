@@ -24,10 +24,37 @@ from bisimlab.mdp import DeterministicMDP
 from bisimlab.relation import PairRelation, Partition, canonicalize_blocks
 
 
+def aux_labels(aux: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Group observations whose aux vectors are within `tol` of each other.
+
+    The groups are the connected components of the graph joining two
+    observations when the largest absolute difference of their aux vectors
+    is at most `tol`, so the grouping is transitive and does not depend on
+    the order of the observations. At tol 0 the labels are the ranks of the
+    distinct aux rows.
+    """
+    if tol == 0.0:
+        _, labels = np.unique(aux, axis=0, return_inverse=True)
+        return labels.reshape(-1).astype(np.int64)
+    close = np.abs(aux[:, None, :] - aux[None, :, :]).max(axis=2) <= tol
+    labels = np.full(aux.shape[0], -1, dtype=np.int64)
+    components = 0
+    for i in range(aux.shape[0]):
+        if labels[i] >= 0:
+            continue
+        labels[i] = components
+        frontier = np.array([i])
+        while frontier.size:
+            frontier = np.flatnonzero(close[frontier].any(axis=0) & (labels < 0))
+            labels[frontier] = components
+        components += 1
+    return labels
+
+
 def aux_disagreement(aux: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Boolean matrix of pairs whose aux vectors differ (exact by default)."""
-    diff = np.abs(aux[:, None, :] - aux[None, :, :]).max(axis=2)
-    return diff > tol
+    """Boolean matrix of pairs in different aux_labels groups."""
+    labels = aux_labels(aux, tol)
+    return labels[:, None] != labels[None, :]
 
 
 def apply_F(mdp: DeterministicMDP, rel: PairRelation, aux_tol: float = 0.0) -> PairRelation:
@@ -97,7 +124,7 @@ def partition_refine(mdp: DeterministicMDP, aux_tol: float = 0.0) -> Partition:
 def partition_refine_with_rounds(
     mdp: DeterministicMDP, aux_tol: float = 0.0
 ) -> tuple[Partition, int]:
-    labels = _initial_aux_labels(mdp.aux, aux_tol)
+    labels = aux_labels(mdp.aux, aux_tol)
     rounds = 0
     while True:
         succ_labels = labels[mdp.transition]  # [n, |A|]
@@ -108,24 +135,6 @@ def partition_refine_with_rounds(
             break
         labels = new_labels
     return canonicalize_blocks(labels), rounds
-
-
-def _initial_aux_labels(aux: np.ndarray, tol: float) -> np.ndarray:
-    if tol == 0.0:
-        _, labels = np.unique(aux, axis=0, return_inverse=True)
-        return labels.astype(np.int64)
-    # tolerance > 0: group greedily by first matching representative
-    labels = np.full(aux.shape[0], -1, dtype=np.int64)
-    reps: list[np.ndarray] = []
-    for i in range(aux.shape[0]):
-        for k, rep in enumerate(reps):
-            if np.abs(aux[i] - rep).max() <= tol:
-                labels[i] = k
-                break
-        else:
-            labels[i] = len(reps)
-            reps.append(aux[i])
-    return labels
 
 
 def partition_to_relation(part: Partition) -> PairRelation:

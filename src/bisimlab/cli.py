@@ -212,14 +212,18 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
         obs = collected.source_frames[idx].astype(np.float64) / 255.0
         labels = collected.dataset.sources[idx]
         source_ids = labels
-    vectors = encode(params, obs).data
+    vectors = encode(params, obs)
     return analysis.EmbeddingSet(vectors=vectors, labels=labels, source_ids=source_ids)
 
 
 def cmd_analyze(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params, _ = load_checkpoint(args.checkpoint)
+    try:
+        params, _ = load_checkpoint(args.checkpoint)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if params.config.obs_kind == "image" and args.dataset is None:
         print("error: image checkpoints need --dataset", file=sys.stderr)
         return EXIT_VALIDATION
@@ -250,7 +254,11 @@ def cmd_verify(args) -> int:
     if args.mdp is None and not args.counting:
         print("error: one of --mdp / --counting is required", file=sys.stderr)
         return EXIT_VALIDATION
-    params, _ = load_checkpoint(args.checkpoint)
+    try:
+        params, _ = load_checkpoint(args.checkpoint)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         mdp = _load_mdp(args)
     except (ValueError, OSError) as exc:

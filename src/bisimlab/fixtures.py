@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from bisimlab.autodiff import Tensor
 from bisimlab.mdp import DeterministicMDP
-from bisimlab.nn import Linear, ModelConfig, ModelParams
+from bisimlab.nn import Linear, ModelConfig, ModelParams, Param
 
 
 def perfect_fit_params(mdp: DeterministicMDP) -> ModelParams:
@@ -30,7 +29,7 @@ def perfect_fit_params(mdp: DeterministicMDP) -> ModelParams:
         aux_hidden=n,
         decoder_hidden=(),
     )
-    encoder = [Linear(Tensor(np.eye(n)), Tensor(np.zeros(n)))]
+    encoder = [Linear(Param(np.eye(n)), Param(np.zeros(n)))]
 
     # hidden unit (k, a) fires iff z = e_k and action one-hot = e_a
     W0 = np.zeros((n + na, n * na))
@@ -43,16 +42,16 @@ def perfect_fit_params(mdp: DeterministicMDP) -> ModelParams:
     for k in range(n):
         for a in range(na):
             W1[k * na + a, mdp.transition[k, a]] = 1.0
-    dynamics = [Linear(Tensor(W0), Tensor(b0)), Linear(Tensor(W1), Tensor(np.zeros(n)))]
+    dynamics = [Linear(Param(W0), Param(b0)), Linear(Param(W1), Param(np.zeros(n)))]
 
     # two identity ReLU layers (one-hot latents are nonnegative), then table lookup
     eye = np.eye(n)
     aux_head = [
-        Linear(Tensor(eye.copy()), Tensor(np.zeros(n))),
-        Linear(Tensor(eye.copy()), Tensor(np.zeros(n))),
-        Linear(Tensor(mdp.aux.copy()), Tensor(np.zeros(d_p))),
+        Linear(Param(eye), Param(np.zeros(n))),
+        Linear(Param(eye), Param(np.zeros(n))),
+        Linear(Param(mdp.aux), Param(np.zeros(d_p))),
     ]
-    decoder_probe = [Linear(Tensor(np.zeros((n, n))), Tensor(np.zeros(n)))]
+    decoder_probe = [Linear(Param(np.zeros((n, n))), Param(np.zeros(n)))]
     return ModelParams(
         config=config,
         encoder=encoder,

@@ -1,8 +1,12 @@
 """Encoder, latent dynamics, auxiliary head, and decoder probe.
 
-All components are ReLU MLPs over the autodiff Tensor type. The decoder probe
-reconstructs observations from detached latents, so its loss never reaches
-the encoder.
+All components are ReLU MLPs. Every weight and bias is a view into one flat
+float64 buffer owned by ModelParams, laid out encoder, dynamics, aux head,
+decoder probe, so copying the model or taking an Adam step is one pass over
+one array. `joint_loss` is the forward pass: it keeps each layer's input and
+pre-activation, and `loss_and_grads` runs the backward over them. The decoder
+probe reconstructs observations from detached latents, so its loss never
+reaches the encoder.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bisimlab.autodiff import Tensor, concat, mse
+COMPONENTS = ("encoder", "dynamics", "aux_head", "decoder_probe")
 
 
 @dataclass
@@ -36,18 +40,22 @@ class ModelConfig:
 
 
 @dataclass
-class Linear:
-    W: Tensor
-    b: Tensor
+class Param:
+    """One weight or bias array; a view into its model's flat buffer."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
+    data: np.ndarray
+
+
+@dataclass
+class Linear:
+    W: Param
+    b: Param
 
 
 def _init_linear(fan_in: int, fan_out: int, rng: np.random.Generator) -> Linear:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    W = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    b = Tensor(np.zeros(fan_out))
+    W = Param(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    b = Param(np.zeros(fan_out))
     return Linear(W, b)
 
 
@@ -55,71 +63,164 @@ def _mlp(dims: list[int], rng: np.random.Generator) -> list[Linear]:
     return [_init_linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 
 
-def _run_mlp(layers: list[Linear], x: Tensor) -> Tensor:
-    for k, layer in enumerate(layers):
-        x = layer(x)
-        if k + 1 < len(layers):
-            x = x.relu()
-    return x
+class Gradients(dict):
+    """{parameter name: gradient}, each a view into `flat`, which is laid out
+    like ModelParams.flat."""
+
+    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+        super().__init__(views)
+        self.flat = flat
 
 
 @dataclass
 class ModelParams:
+    """The four MLPs. Construction copies every layer's arrays into `flat`
+    (or, when `flat` is given, takes that buffer as the values) and makes each
+    `.data` a view into it."""
+
     config: ModelConfig
     encoder: list[Linear]
     dynamics: list[Linear]
     aux_head: list[Linear]
     decoder_probe: list[Linear]
+    flat: np.ndarray | None = field(default=None, repr=False)
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
+    def __post_init__(self) -> None:
+        named = self.named_parameters()
+        self._layout = []  # (name, start, stop, shape), in named_parameters() order
+        stop = 0
+        for name, p in named:
+            shape = np.shape(p.data)
+            self._layout.append((name, stop, stop + int(np.prod(shape)), shape))
+            stop = self._layout[-1][2]
+        self._segments = {}
+        for comp in COMPONENTS:
+            spans = [(start, end) for name, start, end, _ in self._layout if name.startswith(comp + ".")]
+            self._segments[comp] = slice(spans[0][0], spans[-1][1])
+        if self.flat is None:
+            self.flat = np.concatenate([np.asarray(p.data, dtype=np.float64).ravel() for _, p in named])
+        if self.flat.shape != (stop,) or self.flat.dtype != np.float64:
+            raise ValueError(f"flat buffer must be float64 of shape ({stop},)")
+        for (_, p), view in zip(named, self.views(self.flat).values()):
+            p.data = view
+
+    def named_parameters(self) -> list[tuple[str, Param]]:
         out = []
-        for comp_name, comp in (
-            ("encoder", self.encoder),
-            ("dynamics", self.dynamics),
-            ("aux_head", self.aux_head),
-            ("decoder_probe", self.decoder_probe),
-        ):
-            for k, layer in enumerate(comp):
-                out.append((f"{comp_name}.{k}.W", layer.W))
-                out.append((f"{comp_name}.{k}.b", layer.b))
+        for comp in COMPONENTS:
+            for k, layer in enumerate(getattr(self, comp)):
+                out.append((f"{comp}.{k}.W", layer.W))
+                out.append((f"{comp}.{k}.b", layer.b))
         return out
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """name -> that parameter's view into a buffer laid out like `flat`."""
+        return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
+
+    def segment(self, component: str) -> slice:
+        """Where one component's parameters sit in `flat`."""
+        return self._segments[component]
+
+    def flatten(self, named: dict[str, np.ndarray]) -> np.ndarray:
+        """One array per parameter name -> a buffer laid out like `flat`."""
+        if isinstance(named, Gradients) and named.flat.shape == self.flat.shape:
+            return named.flat
+        return np.concatenate([np.asarray(named[name], dtype=np.float64).ravel() for name, *_ in self._layout])
+
     def copy(self) -> "ModelParams":
-        def clone(layers):
-            return [Linear(Tensor(l.W.data.copy()), Tensor(l.b.data.copy())) for l in layers]
+        def shells(layers):
+            return [Linear(Param(l.W.data), Param(l.b.data)) for l in layers]
 
         return ModelParams(
             config=self.config,
-            encoder=clone(self.encoder),
-            dynamics=clone(self.dynamics),
-            aux_head=clone(self.aux_head),
-            decoder_probe=clone(self.decoder_probe),
+            encoder=shells(self.encoder),
+            dynamics=shells(self.dynamics),
+            aux_head=shells(self.aux_head),
+            decoder_probe=shells(self.decoder_probe),
+            flat=self.flat.copy(),
         )
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+def _layer_dims(config: ModelConfig) -> dict[str, list[int]]:
     d = config.obs_dim
     z = config.latent_dim
-    return ModelParams(
-        config=config,
-        encoder=_mlp([d, *config.encoder_hidden, z], rng),
-        dynamics=_mlp([z + config.num_actions, config.dynamics_hidden, z], rng),
-        aux_head=_mlp([z, config.aux_hidden, config.aux_hidden, config.aux_dim], rng),
-        decoder_probe=_mlp([z, *config.decoder_hidden, d], rng),
-    )
+    return {
+        "encoder": [d, *config.encoder_hidden, z],
+        "dynamics": [z + config.num_actions, config.dynamics_hidden, z],
+        "aux_head": [z, config.aux_hidden, config.aux_hidden, config.aux_dim],
+        "decoder_probe": [z, *config.decoder_hidden, d],
+    }
 
 
-def preprocess(obs_batch: np.ndarray, config: ModelConfig) -> Tensor:
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """name -> shape of every parameter of a model with this config."""
+    shapes = {}
+    for comp, dims in _layer_dims(config).items():
+        for k in range(len(dims) - 1):
+            shapes[f"{comp}.{k}.W"] = (dims[k], dims[k + 1])
+            shapes[f"{comp}.{k}.b"] = (dims[k + 1],)
+    return shapes
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    dims = _layer_dims(config)
+    return ModelParams(config=config, **{comp: _mlp(dims[comp], rng) for comp in COMPONENTS})
+
+
+def _run_mlp(layers: list[Linear], x: np.ndarray, cache: list | None) -> np.ndarray:
+    """Forward pass; appends each layer's (input, pre-activation) to `cache`."""
+    last = len(layers) - 1
+    for k, layer in enumerate(layers):
+        h = x @ layer.W.data + layer.b.data
+        if cache is not None:
+            cache.append((x, h))
+        x = np.maximum(h, 0.0) if k < last else h
+    return x
+
+
+def _backprop(
+    layers: list[Linear],
+    cache: list,
+    grad: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]],
+    accumulate: bool = False,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Backward pass of one `_run_mlp` call, given the gradient at its output.
+
+    Writes (or, with `accumulate`, adds) each layer's weight and bias
+    gradient into `out[k]`, and returns the gradient at the input, which is
+    computed only when `input_grad` asks for it. The expressions and their
+    order are those of the reference tape in tests/tape_oracle.py, so the
+    gradients are bit-identical to it.
+    """
+    last = len(layers) - 1
+    for k in range(last, -1, -1):
+        x, h = cache[k]
+        if k < last:
+            grad = grad * (h > 0.0)
+        gW, gb = out[k]
+        if accumulate:
+            gW += x.T @ grad
+            gb += grad.sum(axis=0)
+        else:
+            np.matmul(x.T, grad, out=gW)
+            np.sum(grad, axis=0, out=gb)
+        if k > 0 or input_grad:
+            grad = grad @ layers[k].W.data.T
+    return grad if input_grad else None
+
+
+def preprocess(obs_batch: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Flatten and, for images, shift pixels from [0, 1] to [-0.5, 0.5]."""
     flat = np.asarray(obs_batch, dtype=np.float64).reshape(obs_batch.shape[0], -1)
     if config.obs_kind == "image":
         flat = flat - 0.5
-    return Tensor(flat, requires_grad=False)
+    return flat
 
 
-def encode(params: ModelParams, obs_batch: np.ndarray) -> Tensor:
-    z = _run_mlp(params.encoder, preprocess(obs_batch, params.config))
-    if not np.all(np.isfinite(z.data)):
+def encode(params: ModelParams, obs_batch: np.ndarray, cache: list | None = None) -> np.ndarray:
+    z = _run_mlp(params.encoder, preprocess(obs_batch, params.config), cache)
+    if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite encoder output")
     return z
 
@@ -129,20 +230,22 @@ def one_hot_actions(actions: np.ndarray, num_actions: int) -> np.ndarray:
     return eye[np.asarray(actions, dtype=np.int64)]
 
 
-def predict_next(params: ModelParams, z_batch: Tensor, action_batch: np.ndarray) -> Tensor:
-    a = Tensor(one_hot_actions(action_batch, params.config.num_actions), requires_grad=False)
-    out = _run_mlp(params.dynamics, concat([z_batch, a], axis=1))
-    if not np.all(np.isfinite(out.data)):
+def predict_next(
+    params: ModelParams, z_batch: np.ndarray, action_batch: np.ndarray, cache: list | None = None
+) -> np.ndarray:
+    a = one_hot_actions(action_batch, params.config.num_actions)
+    out = _run_mlp(params.dynamics, np.concatenate([z_batch, a], axis=1), cache)
+    if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite dynamics output")
     return out
 
 
-def aux_predict(params: ModelParams, z_batch: Tensor) -> Tensor:
-    return _run_mlp(params.aux_head, z_batch)
+def aux_predict(params: ModelParams, z_batch: np.ndarray, cache: list | None = None) -> np.ndarray:
+    return _run_mlp(params.aux_head, z_batch, cache)
 
 
-def decode(params: ModelParams, z_batch: Tensor) -> Tensor:
-    return _run_mlp(params.decoder_probe, z_batch)
+def decode(params: ModelParams, z_batch: np.ndarray, cache: list | None = None) -> np.ndarray:
+    return _run_mlp(params.decoder_probe, z_batch, cache)
 
 
 @dataclass
@@ -160,7 +263,32 @@ class LossReport:
     aux_loss: float
     total: float
     decoder_loss: float
-    grad_norms: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
+class Forward:
+    """What the backward needs from one joint_loss call: the layer caches of
+    each MLP call, and each active loss's residual (prediction - target)."""
+
+    encoder_t: list = field(default_factory=list)
+    encoder_next: list = field(default_factory=list)
+    dynamics: list = field(default_factory=list)
+    aux_head: list = field(default_factory=list)
+    decoder_probe: list = field(default_factory=list)
+    dyn_residual: np.ndarray | None = None
+    aux_residual: np.ndarray | None = None
+    dec_residual: np.ndarray | None = None
+
+
+def _mse(residual: np.ndarray) -> float:
+    return float((residual * residual).mean())
+
+
+def _mse_grad(residual: np.ndarray, weight: float) -> np.ndarray:
+    """Gradient of weight * mean(residual**2) with respect to the prediction,
+    formed as the reference tape forms it (d(r*r) = g*r + g*r)."""
+    half = residual * (weight / residual.size)
+    return half + half
 
 
 def joint_loss(
@@ -171,7 +299,7 @@ def joint_loss(
     aux_enabled: bool = True,
     decoder_enabled: bool = True,
     step: int = 0,
-) -> tuple[LossReport, Tensor]:
+) -> tuple[LossReport, Forward]:
     """Joint objective: dynamics consistency + weighted auxiliary regression.
 
     dyn loss compares T(E(o_t), a_t) to E(o_{t+1}) with gradients into both
@@ -179,32 +307,34 @@ def joint_loss(
     trains on detached latents against images normalized to [-1, 1]; its loss
     is optimized alongside but excluded from `total`.
     """
-    z_t = encode(params, batch.obs)
-    objective = Tensor(0.0, requires_grad=False)
+    fwd = Forward()
+    z_t = encode(params, batch.obs, fwd.encoder_t)
+    objective = 0.0
     dyn_val = 0.0
     aux_val = 0.0
     if dyn_loss_enabled:
-        z_next = encode(params, batch.next_obs)
-        z_hat = predict_next(params, z_t, batch.actions)
-        dyn = mse(z_hat, z_next)
-        dyn_val = float(dyn.data)
-        objective = objective + dyn
+        z_next = encode(params, batch.next_obs, fwd.encoder_next)
+        z_hat = predict_next(params, z_t, batch.actions, fwd.dynamics)
+        fwd.dyn_residual = z_hat - z_next
+        dyn_val = _mse(fwd.dyn_residual)
+        objective += dyn_val
     if aux_enabled:
-        aux = mse(aux_predict(params, z_t), Tensor(batch.aux_targets, requires_grad=False))
-        aux_val = float(aux.data)
-        objective = objective + c_p * aux
+        target = np.asarray(batch.aux_targets, dtype=np.float64)
+        fwd.aux_residual = aux_predict(params, z_t, fwd.aux_head) - target
+        aux_val = _mse(fwd.aux_residual)
+        objective += c_p * aux_val
     total = dyn_val + c_p * aux_val if aux_enabled else dyn_val
     dec_val = 0.0
     if decoder_enabled:
         flat = np.asarray(batch.obs, dtype=np.float64).reshape(batch.obs.shape[0], -1)
         target = flat * 2.0 - 1.0 if params.config.obs_kind == "image" else flat
-        dec = mse(decode(params, z_t.detach()), Tensor(target, requires_grad=False))
-        dec_val = float(dec.data)
-        objective = objective + dec
-    if not np.isfinite(float(objective.data)):
+        fwd.dec_residual = decode(params, z_t, fwd.decoder_probe) - target
+        dec_val = _mse(fwd.dec_residual)
+        objective += dec_val
+    if not np.isfinite(objective):
         raise FloatingPointError(f"non-finite loss at step {step}")
     report = LossReport(step=step, dyn_loss=dyn_val, aux_loss=aux_val, total=total, decoder_loss=dec_val)
-    return report, objective
+    return report, fwd
 
 
 def loss_and_grads(
@@ -215,18 +345,41 @@ def loss_and_grads(
     aux_enabled: bool = True,
     decoder_enabled: bool = True,
     step: int = 0,
-) -> tuple[LossReport, dict[str, np.ndarray]]:
-    named = params.named_parameters()
-    for _, p in named:
-        p.grad = None
-    report, objective = joint_loss(
-        params, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step
-    )
-    objective.backward()
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in named}
-    by_comp: dict[str, float] = {}
-    for name, g in grads.items():
-        comp = name.split(".", 1)[0]
-        by_comp[comp] = by_comp.get(comp, 0.0) + float(np.sum(g * g))
-    report.grad_norms = {comp: float(np.sqrt(v)) for comp, v in by_comp.items()}
+) -> tuple[LossReport, Gradients]:
+    """The joint loss and its gradient for every parameter (zero where no
+    active loss reaches). No gradient is formed for the observations or for
+    the decoder probe's detached input."""
+    report, fwd = joint_loss(params, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step)
+    flat = np.empty_like(params.flat)
+    grads = Gradients(flat, params.views(flat))
+
+    def slots(comp: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(grads[f"{comp}.{k}.W"], grads[f"{comp}.{k}.b"]) for k in range(len(getattr(params, comp)))]
+
+    def skip(comp: str) -> None:
+        flat[params.segment(comp)] = 0.0
+
+    z_grad = None  # gradient at E(o_t)
+    if fwd.dyn_residual is not None:
+        dyn_grad = _mse_grad(fwd.dyn_residual, 1.0)
+        z_grad = _backprop(params.dynamics, fwd.dynamics, dyn_grad, slots("dynamics"))[:, : params.config.latent_dim]
+    else:
+        skip("dynamics")
+    if fwd.aux_residual is not None:
+        aux_in = _backprop(params.aux_head, fwd.aux_head, _mse_grad(fwd.aux_residual, c_p), slots("aux_head"))
+        z_grad = aux_in if z_grad is None else z_grad + aux_in
+    else:
+        skip("aux_head")
+    if fwd.dec_residual is not None:
+        _backprop(params.decoder_probe, fwd.decoder_probe, _mse_grad(fwd.dec_residual, 1.0),
+                  slots("decoder_probe"), input_grad=False)
+    else:
+        skip("decoder_probe")
+    if z_grad is None:
+        skip("encoder")
+    else:
+        enc = slots("encoder")
+        _backprop(params.encoder, fwd.encoder_t, z_grad, enc, input_grad=False)
+        if fwd.dyn_residual is not None:
+            _backprop(params.encoder, fwd.encoder_next, -dyn_grad, enc, accumulate=True, input_grad=False)
     return report, grads

@@ -1,4 +1,9 @@
-"""Adam with per-component learning-rate groups (scaled encoder rate)."""
+"""Adam with per-component learning-rate groups (scaled encoder rate).
+
+The moments live in flat buffers laid out like ModelParams.flat, so a step is
+one run of in-place operations over the whole model, taken in blocks that
+keep the scratch arrays in cache.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +13,19 @@ import numpy as np
 
 from bisimlab.nn import ModelParams
 
+# elements per pass of the update
+BLOCK = 1 << 15
+
 
 @dataclass
 class AdamState:
+    """`m` and `v` map each parameter name to a view into `m_flat`/`v_flat`."""
+
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    m_flat: np.ndarray | None = field(default=None, repr=False)
+    v_flat: np.ndarray | None = field(default=None, repr=False)
 
 
 def adam_step(
@@ -26,20 +38,37 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update in place; encoder group uses the scaled rate."""
+    """One bias-corrected Adam update in place; encoder group uses the scaled rate.
+
+    `grads` must hold every parameter.
+    """
+    if state.m_flat is None:
+        state.m_flat = np.zeros_like(params.flat)
+        state.v_flat = np.zeros_like(params.flat)
+        state.m, state.v = params.views(state.m_flat), params.views(state.v_flat)
     state.t += 1
     t = state.t
-    for name, p in params.named_parameters():
-        g = grads.get(name)
-        if g is None:
-            continue
-        lr = base_lr * encoder_lr_scale if name.startswith("encoder.") else base_lr
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    p, g, m, v = params.flat, params.flatten(grads), state.m_flat, state.v_flat
+    c1, c2 = 1.0 - beta1, 1.0 - beta2
+    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+    scratch = np.empty((2, min(BLOCK, p.size)))
+    n_enc = params.segment("encoder").stop
+    for start, stop, lr in ((0, n_enc, base_lr * encoder_lr_scale), (n_enc, p.size, base_lr)):
+        for s in range(start, stop, BLOCK):
+            e = min(s + BLOCK, stop)
+            gb, mb, vb = g[s:e], m[s:e], v[s:e]
+            step, denom = scratch[0, : e - s], scratch[1, : e - s]
+            mb *= beta1
+            np.multiply(gb, c1, out=step)
+            mb += step
+            vb *= beta2
+            np.multiply(gb, c2, out=step)
+            step *= gb
+            vb += step
+            np.divide(mb, bias1, out=step)
+            step *= lr
+            np.divide(vb, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            p[s:e] -= step

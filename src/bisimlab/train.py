@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -17,13 +18,16 @@ from bisimlab.analysis import nearest_centroid_accuracy
 from bisimlab.counting_env import CollectedData
 from bisimlab.mdp import DeterministicMDP
 from bisimlab.nn import (
+    COMPONENTS,
     Batch,
     Linear,
     ModelConfig,
     ModelParams,
+    Param,
     encode,
     init_params,
     loss_and_grads,
+    param_shapes,
 )
 from bisimlab.optim import AdamState, adam_step
 
@@ -233,7 +237,7 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
             eps=config.adam_eps,
         )
         if step % config.eval_every == 0 or step == config.steps:
-            embs = encode(params, eval_obs).data
+            embs = encode(params, eval_obs)
             centroid_acc = nearest_centroid_accuracy(embs, eval_labels)
             if centroid_acc > best_acc:
                 best_acc = centroid_acc
@@ -275,53 +279,61 @@ def save_checkpoint(params: ModelParams, config_echo: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    from bisimlab.autodiff import Tensor
-
+    """Read a checkpoint. A malformed file (bad magic or version, a truncated
+    or unparsable part, tensors that do not fit its model config, trailing
+    bytes) raises ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic")
-        version, blob_len = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        config_echo = json.loads(fh.read(blob_len).decode())
-        (count,) = struct.unpack("<I", fh.read(4))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(4 * size), dtype="<f4").reshape(shape)
-            tensors[name] = data.astype(np.float64)
-    mc = config_echo["model_config"]
-    model_config = ModelConfig(
-        obs_kind=mc["obs_kind"],
-        obs_shape=tuple(mc["obs_shape"]),
-        num_actions=mc["num_actions"],
-        latent_dim=mc["latent_dim"],
-        aux_dim=mc["aux_dim"],
-        encoder_hidden=tuple(mc["encoder_hidden"]),
-        dynamics_hidden=mc["dynamics_hidden"],
-        aux_hidden=mc["aux_hidden"],
-        decoder_hidden=tuple(mc["decoder_hidden"]),
-    )
+        raw = fh.read()
+    pos = 0
 
-    def load_component(prefix: str) -> list[Linear]:
-        layers = []
-        k = 0
-        while f"{prefix}.{k}.W" in tensors:
-            layers.append(Linear(Tensor(tensors[f"{prefix}.{k}.W"]), Tensor(tensors[f"{prefix}.{k}.b"])))
-            k += 1
-        return layers
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + size > len(raw):
+            raise ValueError(f"{path}: truncated {what}")
+        pos += size
+        return raw[pos - size : pos]
 
-    params = ModelParams(
-        config=model_config,
-        encoder=load_component("encoder"),
-        dynamics=load_component("dynamics"),
-        aux_head=load_component("aux_head"),
-        decoder_probe=load_component("decoder_probe"),
-    )
+    if take(4, "magic") != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic")
+    version, blob_len = struct.unpack("<II", take(8, "header"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    config_echo = json.loads(take(blob_len, "config echo").decode())
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "tensor header"))
+        name = take(name_len, "tensor name").decode()
+        (ndim,) = struct.unpack("<B", take(1, "tensor header"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
+        data = take(4 * math.prod(shape), f"tensor {name}")
+        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
+    try:
+        mc = config_echo["model_config"]
+        model_config = ModelConfig(
+            obs_kind=mc["obs_kind"],
+            obs_shape=tuple(mc["obs_shape"]),
+            num_actions=mc["num_actions"],
+            latent_dim=mc["latent_dim"],
+            aux_dim=mc["aux_dim"],
+            encoder_hidden=tuple(mc["encoder_hidden"]),
+            dynamics_hidden=mc["dynamics_hidden"],
+            aux_hidden=mc["aux_hidden"],
+            decoder_hidden=tuple(mc["decoder_hidden"]),
+        )
+        fits = {name: t.shape for name, t in tensors.items()} == param_shapes(model_config)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad model config: {exc!r}") from exc
+    if not fits:
+        raise ValueError(f"{path}: tensors do not match the model config")
+    layers: dict[str, list[Linear]] = {comp: [] for comp in COMPONENTS}
+    for name in param_shapes(model_config):
+        comp, k, kind = name.split(".")
+        if kind == "W":
+            layers[comp].append(Linear(Param(tensors[name]), Param(tensors[f"{comp}.{k}.b"])))
+    params = ModelParams(config=model_config, **layers)
     return params, config_echo
 
 

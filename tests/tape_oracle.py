@@ -1,13 +1,16 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""The reverse-mode tape that trained the model before the explicit backward
+in bisimlab.nn, kept as the reference the explicit engine must match bit for
+bit: the Tensor type, the joint loss built on it, and the per-array Adam step.
 
-Just enough ops for MLP forward passes and squared-error losses: add/sub/mul
-with broadcasting, matmul, relu, concat, mean. Gradients are accumulated by
-walking the tape in reverse topological order.
+`loss_and_grads` and `adam_step` take and update a bisimlab.nn.ModelParams
+in place, like the functions they stand in for.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from bisimlab.nn import Batch, LossReport, ModelParams, one_hot_actions
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -151,3 +154,117 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     return (a - b).square().mean()
+
+
+# --- the joint loss on the tape ---
+
+
+def _run_mlp(leaves: dict[str, Tensor], comp: str, num_layers: int, x: Tensor) -> Tensor:
+    for k in range(num_layers):
+        x = x @ leaves[f"{comp}.{k}.W"] + leaves[f"{comp}.{k}.b"]
+        if k + 1 < num_layers:
+            x = x.relu()
+    return x
+
+
+def joint_loss(
+    params: ModelParams,
+    leaves: dict[str, Tensor],
+    batch: Batch,
+    c_p: float = 1.0,
+    dyn_loss_enabled: bool = True,
+    aux_enabled: bool = True,
+    decoder_enabled: bool = True,
+    step: int = 0,
+) -> tuple[LossReport, Tensor]:
+    config = params.config
+
+    def mlp(comp: str, x: Tensor) -> Tensor:
+        return _run_mlp(leaves, comp, len(getattr(params, comp)), x)
+
+    def encode(obs: np.ndarray) -> Tensor:
+        flat = np.asarray(obs, dtype=np.float64).reshape(obs.shape[0], -1)
+        if config.obs_kind == "image":
+            flat = flat - 0.5
+        z = mlp("encoder", Tensor(flat, requires_grad=False))
+        if not np.all(np.isfinite(z.data)):
+            raise FloatingPointError("non-finite encoder output")
+        return z
+
+    z_t = encode(batch.obs)
+    objective = Tensor(0.0, requires_grad=False)
+    dyn_val = 0.0
+    aux_val = 0.0
+    if dyn_loss_enabled:
+        z_next = encode(batch.next_obs)
+        a = Tensor(one_hot_actions(batch.actions, config.num_actions), requires_grad=False)
+        z_hat = mlp("dynamics", concat([z_t, a], axis=1))
+        if not np.all(np.isfinite(z_hat.data)):
+            raise FloatingPointError("non-finite dynamics output")
+        dyn = mse(z_hat, z_next)
+        dyn_val = float(dyn.data)
+        objective = objective + dyn
+    if aux_enabled:
+        aux = mse(mlp("aux_head", z_t), Tensor(batch.aux_targets, requires_grad=False))
+        aux_val = float(aux.data)
+        objective = objective + c_p * aux
+    total = dyn_val + c_p * aux_val if aux_enabled else dyn_val
+    dec_val = 0.0
+    if decoder_enabled:
+        flat = np.asarray(batch.obs, dtype=np.float64).reshape(batch.obs.shape[0], -1)
+        target = flat * 2.0 - 1.0 if config.obs_kind == "image" else flat
+        dec = mse(mlp("decoder_probe", z_t.detach()), Tensor(target, requires_grad=False))
+        dec_val = float(dec.data)
+        objective = objective + dec
+    if not np.isfinite(float(objective.data)):
+        raise FloatingPointError(f"non-finite loss at step {step}")
+    report = LossReport(step=step, dyn_loss=dyn_val, aux_loss=aux_val, total=total, decoder_loss=dec_val)
+    return report, objective
+
+
+def loss_and_grads(
+    params: ModelParams,
+    batch: Batch,
+    c_p: float = 1.0,
+    dyn_loss_enabled: bool = True,
+    aux_enabled: bool = True,
+    decoder_enabled: bool = True,
+    step: int = 0,
+) -> tuple[LossReport, dict[str, np.ndarray]]:
+    # a leaf over each live parameter array (Tensor() does not copy float64)
+    leaves = {name: Tensor(p.data) for name, p in params.named_parameters()}
+    report, objective = joint_loss(
+        params, leaves, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step
+    )
+    objective.backward()
+    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data)) for name, t in leaves.items()}
+    return report, grads
+
+
+def adam_step(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    state,
+    base_lr: float = 3e-4,
+    encoder_lr_scale: float = 0.3,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """One bias-corrected Adam update, one parameter array at a time."""
+    state.t += 1
+    t = state.t
+    for name, p in params.named_parameters():
+        g = grads.get(name)
+        if g is None:
+            continue
+        lr = base_lr * encoder_lr_scale if name.startswith("encoder.") else base_lr
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)

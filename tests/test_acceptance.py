@@ -57,7 +57,7 @@ def image_runs():
         idx = rng.choice(len(data.train_data), size=256, replace=False)
         obs = data.train_data.obs[idx]
         labels = data.train_data.labels[idx]
-        vectors = encode(result.best_params, obs).data
+        vectors = encode(result.best_params, obs)
         results[name] = (vectors, labels)
     return results, time.time() - t0
 
@@ -208,7 +208,7 @@ def test_criterion_5_perfect_fit_theorem(counting, capsys):
     t0 = time.time()
     mdp, r_star = counting
     params = perfect_fit_params(mdp)
-    vectors = encode(params, one_hot_observations(mdp)).data
+    vectors = encode(params, one_hot_observations(mdp))
     embs = EmbeddingSet(vectors=vectors, labels=np.arange(mdp.num_observations),
                         source_ids=np.arange(mdp.num_observations))
     report = verify_no_collapse(embs, r_star, eps_collapse=1e-9)
@@ -225,7 +225,7 @@ def test_criterion_6_trained_no_collapse(counting, capsys):
     assert config.c_p == 1.0 and config.latent_dim == 32 and config.steps <= 50_000
     result = train(config, tabular_train_data(mdp))
     final = result.metrics[-1]
-    vectors = encode(result.best_params, one_hot_observations(mdp)).data
+    vectors = encode(result.best_params, one_hot_observations(mdp))
     embs = EmbeddingSet(vectors=vectors, labels=np.arange(9), source_ids=np.arange(9))
     eps = 1e-3 * median_pairwise_distance(vectors)
     report = verify_no_collapse(embs, r_star, eps)

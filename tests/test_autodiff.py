@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bisimlab.autodiff import Tensor, concat, mse
+from tape_oracle import Tensor, concat, mse
 
 
 def finite_diff(fn, x, h=1e-6):

@@ -1,14 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisimlab.bisim import (
+    aux_disagreement,
+    aux_labels,
     apply_F,
     distinguishing_oracle,
+    empirical_lfp,
     least_fixed_point,
     partition_refine,
     partition_to_relation,
     quotient,
 )
+from bisimlab.dataset import TransitionDataset
 from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp, random_mdp
 from bisimlab.relation import PairRelation
 
@@ -209,3 +217,47 @@ def test_oracle_triangle_random_sample():
         r_star, _, _ = least_fixed_point(m)
         assert distinguishing_oracle(m, m.num_observations**2) == r_star
         assert partition_to_relation(partition_refine(m)) == r_star
+
+
+def test_aux_labels_exact_matches_unique_rows():
+    aux = np.array([[2.0, 1.0], [0.0, -0.0], [2.0, 1.0], [-0.0, 0.0], [1.0, 1.0]])
+    _, expected = np.unique(aux, axis=0, return_inverse=True)
+    assert aux_labels(aux).tolist() == expected.reshape(-1).tolist()
+    assert aux_labels(aux).tolist() == [2, 0, 2, 0, 1]
+
+
+def test_aux_labels_tolerance_is_transitive_and_order_free():
+    # 0 ~ 0.5 ~ 1.0 within 0.5, though |0 - 1.0| > 0.5; 3.0 stays apart
+    aux = np.array([[1.0], [3.0], [0.0], [0.5]])
+    labels = aux_labels(aux, 0.5)
+    assert labels[0] == labels[2] == labels[3] != labels[1]
+    order = np.array([2, 0, 3, 1])
+    permuted = aux_labels(aux[order], 0.5)
+    assert np.array_equal(permuted[:, None] == permuted[None, :], (labels[:, None] == labels[None, :])[np.ix_(order, order)])
+    assert aux_disagreement(aux, 0.5).tolist() == (labels[:, None] != labels[None, :]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
+def test_oracle_triangle_with_aux_tol(seed, tol):
+    """All engines share one aux grouping: with tol > 0 the naive fixed
+    point has a quotient, and refinement, the BFS oracle and F_D on full
+    coverage agree with it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    mdp = random_mdp(n, int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng)
+    if rng.random() < 0.5:
+        mdp = dataclasses.replace(mdp, aux=rng.random((n, int(rng.integers(1, 4)))) * 3.0)
+    r_star, _, _ = least_fixed_point(mdp, tol)
+    part = quotient(r_star, mdp, tol)
+    refined = partition_refine(mdp, tol)
+    assert np.array_equal(part.block_of, refined.block_of)
+    assert partition_to_relation(refined) == r_star
+    assert distinguishing_oracle(mdp, n * n, tol) == r_star
+    sources = np.repeat(np.arange(n), mdp.num_actions)
+    actions = np.tile(np.arange(mdp.num_actions), n)
+    ds = TransitionDataset(num_observations=n, num_actions=mdp.num_actions, sources=sources, actions=actions,
+                           successors=mdp.transition[sources, actions], aux=mdp.aux[sources])
+    r_star_d, _, index = empirical_lfp(ds, tol)
+    assert index.obs_ids.tolist() == list(range(n))
+    assert r_star_d == r_star

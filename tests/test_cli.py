@@ -261,3 +261,37 @@ def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypat
         lit = frames.reshape(len(frames), -1).max(axis=1) > 0
         assert np.all(lit[counts > 0])
         assert not np.any(lit[counts == 0])
+
+
+@pytest.fixture
+def tabular_checkpoint(tmp_path):
+    from bisimlab.fixtures import perfect_fit_params
+    from bisimlab.mdp import counting_abstract_mdp
+    from bisimlab.train import TrainConfig, model_config_echo, save_checkpoint
+
+    params = perfect_fit_params(counting_abstract_mdp(8, 4))
+    path = tmp_path / "checkpoint.pjpa"
+    save_checkpoint(params, model_config_echo(params, TrainConfig(steps=1)), str(path))
+    return path
+
+
+@pytest.mark.parametrize("damage", ["missing", "magic", "truncated", "trailing", "echo"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_bad_checkpoint_exits_2(tmp_path, capsys, tabular_checkpoint, command, damage):
+    raw = tabular_checkpoint.read_bytes()
+    bad = tmp_path / "bad.pjpa"
+    if damage == "magic":
+        bad.write_bytes(b"NOPE" + raw[4:])
+    elif damage == "truncated":
+        assert len(raw) > 300
+        bad.write_bytes(raw[:300])
+    elif damage == "trailing":
+        bad.write_bytes(raw + b"\x00\x00")
+    elif damage == "echo":
+        bad.write_bytes(raw[:12] + b"X" + raw[13:])
+    argv = [command, "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--counting", "8", "4"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")

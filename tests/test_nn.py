@@ -66,16 +66,16 @@ def test_zero_weights_give_zero_latents():
         layer.W.data[:] = 0.0
         layer.b.data[:] = 0.0
     z = encode(params, np.random.default_rng(1).random((3, 1, 4, 4)))
-    assert np.all(z.data == 0.0)
+    assert np.all(z == 0.0)
 
 
 def test_identical_observations_identical_rows():
     params = init_params(tiny_config(), np.random.default_rng(0))
     obs = np.tile(np.random.default_rng(2).random((1, 1, 4, 4)), (2, 1, 1, 1))
     z = encode(params, obs)
-    assert np.array_equal(z.data[0], z.data[1])
+    assert np.array_equal(z[0], z[1])
     zn = predict_next(params, z, np.array([1, 1]))
-    assert np.array_equal(zn.data[0], zn.data[1])
+    assert np.array_equal(zn[0], zn[1])
 
 
 def test_image_preprocessing_shift():
@@ -85,13 +85,13 @@ def test_image_preprocessing_shift():
     obs = np.random.default_rng(1).random((2, 1, 4, 4))
     z = encode(params, obs)
     expected = (obs.reshape(2, -1) - 0.5) @ params.encoder[0].W.data + params.encoder[0].b.data
-    assert np.allclose(z.data, expected)
+    assert np.allclose(z, expected)
     # one-hot inputs pass through unshifted
     cfg1 = ModelConfig(obs_kind="onehot", obs_shape=(5,), num_actions=2,
                        latent_dim=3, encoder_hidden=())
     p1 = init_params(cfg1, np.random.default_rng(0))
     onehot = np.eye(5)[:2]
-    assert np.allclose(encode(p1, onehot).data, onehot @ p1.encoder[0].W.data + p1.encoder[0].b.data)
+    assert np.allclose(encode(p1, onehot), onehot @ p1.encoder[0].W.data + p1.encoder[0].b.data)
 
 
 def test_gradient_matches_finite_differences():
@@ -123,7 +123,7 @@ def test_decoder_barrier_no_leak():
     # aux residual is forced to zero by targeting the current predictions,
     # so any encoder gradient could only come from the decoder path
     z = encode(params, batch.obs)
-    batch_fit = Batch(batch.obs, batch.actions, batch.next_obs, aux_predict(params, z).data)
+    batch_fit = Batch(batch.obs, batch.actions, batch.next_obs, aux_predict(params, z))
     report, grads = loss_and_grads(
         params, batch_fit, dyn_loss_enabled=False, aux_enabled=True, decoder_enabled=True
     )
@@ -172,5 +172,20 @@ def test_perfect_fit_fixture_random_mdp():
     z = encode(params, obs)
     for a in range(3):
         zn = predict_next(params, z, np.full(7, a))
-        assert np.allclose(zn.data, np.eye(7)[m.transition[:, a]])
-    assert np.allclose(aux_predict(params, z).data, m.aux)
+        assert np.allclose(zn, np.eye(7)[m.transition[:, a]])
+    assert np.allclose(aux_predict(params, z), m.aux)
+
+
+def test_params_are_views_into_one_flat_buffer():
+    params = init_params(tiny_config(), np.random.default_rng(0))
+    named = params.named_parameters()
+    assert sum(p.data.size for _, p in named) == params.flat.size
+    assert all(np.shares_memory(p.data, params.flat) for _, p in named)
+    encoder = params.segment("encoder")
+    assert encoder.start == 0
+    assert encoder.stop == sum(layer.W.data.size + layer.b.data.size for layer in params.encoder)
+    twin = params.copy()
+    assert not np.shares_memory(twin.flat, params.flat)
+    twin.encoder[0].W.data[0, 0] += 1.0
+    assert twin.flat[0] == params.flat[0] + 1.0
+    assert np.array_equal(twin.flat[1:], params.flat[1:])

@@ -66,3 +66,12 @@ def test_convergence_on_quadratic():
         g["encoder.0.W"] = 2.0 * (params.encoder[0].W.data - target)
         adam_step(params, g, state, base_lr=1e-2, encoder_lr_scale=1.0)
     assert np.allclose(params.encoder[0].W.data, target, atol=1e-4)
+
+
+def test_moments_are_views_into_flat_buffers():
+    params = make_params()
+    state = AdamState()
+    adam_step(params, {n: np.ones_like(p.data) for n, p in params.named_parameters()}, state)
+    assert list(state.m) == [n for n, _ in params.named_parameters()]
+    assert all(np.shares_memory(state.m[n], state.m_flat) for n in state.m)
+    assert all(np.shares_memory(state.v[n], state.v_flat) for n in state.v)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisimlab.fixtures import perfect_fit_params
 from bisimlab.mdp import counting_abstract_mdp, random_mdp
@@ -153,3 +155,43 @@ def test_best_params_tracked():
     assert 0.0 <= result.best_centroid_acc <= 1.0
     final_accs = [r["centroid_acc"] for r in result.metrics if r["centroid_acc"] is not None]
     assert result.best_centroid_acc >= max(final_accs)
+
+
+def _saved_checkpoint(tmp_path):
+    params = perfect_fit_params(random_mdp(5, 2, 2, np.random.default_rng(3)))
+    path = tmp_path / "ckpt.pjpa"
+    save_checkpoint(params, model_config_echo(params, TrainConfig(steps=10)), str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_checkpoint_raises_value_error(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("ckpt")
+    raw = _saved_checkpoint(tmp_path)
+    length = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path / "cut.pjpa"
+    path.write_bytes(raw[:length])
+    with pytest.raises(ValueError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    path = tmp_path / "long.pjpa"
+    path.write_bytes(_saved_checkpoint(tmp_path) + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_tensors_must_fit_the_config(tmp_path):
+    params = perfect_fit_params(random_mdp(5, 2, 2, np.random.default_rng(3)))
+    echo = model_config_echo(params, TrainConfig(steps=10))
+    echo["model_config"]["latent_dim"] = 6
+    path = tmp_path / "mismatch.pjpa"
+    save_checkpoint(params, echo, str(path))
+    with pytest.raises(ValueError, match="do not match"):
+        load_checkpoint(str(path))
+    del echo["model_config"]["obs_kind"]
+    save_checkpoint(params, echo, str(path))
+    with pytest.raises(ValueError, match="bad model config"):
+        load_checkpoint(str(path))
