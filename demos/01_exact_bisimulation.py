@@ -21,7 +21,7 @@ partition = bisim.quotient(r_star, mdp)
 print(f"naive sweeps: {iterations} iterations, frontier sizes {trace}")
 print(f"blocks: {partition.num_blocks} -> {partition.block_of.tolist()}")
 
-# engine 2: Moore-style partition refinement (the fast dual)
+# engine 2: partition refinement in Moore's rounds (the fast dual)
 refined = bisim.partition_refine(mdp)
 assert np.array_equal(refined.block_of, partition.block_of)
 print("partition refinement agrees")

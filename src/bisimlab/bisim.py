@@ -4,8 +4,9 @@ Three independent routes to the same object:
 
   * least_fixed_point — full sweeps of the distinguishability operator F
     starting from the empty relation (the reference path);
-  * partition_refine — Moore-style block splitting on successor signatures
-    (the fast path);
+  * partition_refine — Moore's rounds of block splitting on successor
+    blocks, touching only observations whose successor changed block; the
+    largest group keeps its id (the fast path);
   * distinguishing_oracle — breadth-first search over the pair (product)
     graph for a shortest distinguishing action sequence.
 
@@ -69,7 +70,7 @@ def apply_F(mdp: DeterministicMDP, rel: PairRelation, aux_tol: float = 0.0) -> P
     out = aux_disagreement(mdp.aux, aux_tol)
     for a in range(mdp.num_actions):
         fa = mdp.transition[:, a]
-        out |= rel.bits[np.ix_(fa, fa)]
+        out |= rel.bits[fa][:, fa]
     return PairRelation(out)
 
 
@@ -114,9 +115,10 @@ def quotient(r_star: PairRelation, mdp: DeterministicMDP, aux_tol: float = 0.0) 
 def partition_refine(mdp: DeterministicMDP, aux_tol: float = 0.0) -> Partition:
     """Coarsest partition refining the aux-partition and closed under f.
 
-    Moore-style: split blocks on the vector of successor blocks until stable.
-    Identical to quotient(least_fixed_point(mdp)) but with per-block rather
-    than per-pair work.
+    Moore's rounds, touching only observations whose successor changed block;
+    the largest group keeps its id. Identical to
+    quotient(least_fixed_point(mdp)) but with per-block rather than per-pair
+    work.
     """
     return partition_refine_with_rounds(mdp, aux_tol)[0]
 
@@ -124,17 +126,58 @@ def partition_refine(mdp: DeterministicMDP, aux_tol: float = 0.0) -> Partition:
 def partition_refine_with_rounds(
     mdp: DeterministicMDP, aux_tol: float = 0.0
 ) -> tuple[Partition, int]:
-    labels = aux_labels(mdp.aux, aux_tol)
+    """Moore's partition and the number of rounds it takes to stabilize.
+
+    Round k splits every block by the blocks of its members' successors after
+    round k - 1, and the last round splits nothing. A block keeps its id for
+    its largest group, so members whose successors all kept their ids still
+    agree: only the predecessors of re-labelled observations, found through
+    the inverse transitions, are compared, and the untouched rest of their
+    block forms one group of its own. An observation changes id only into a
+    block at most half its old one's size, so the work is O(|A| n log n).
+    """
+    n, na = mdp.num_observations, mdp.num_actions
+    block_of = aux_labels(mdp.aux, aux_tol).tolist()
+    members: dict[int, set[int]] = {}
+    for o, b in enumerate(block_of):
+        members.setdefault(b, set()).add(o)
+    next_id = len(members)
+    succ = mdp.transition.tolist()
+    # inverse transitions in CSR form: the sources of t are src[ptr[t]:ptr[t + 1]]
+    flat = mdp.transition.reshape(-1)
+    src = (np.argsort(flat, kind="stable") // na).tolist()
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))]).tolist()
+    touched = range(n)  # the first round compares every observation
     rounds = 0
     while True:
-        succ_labels = labels[mdp.transition]  # [n, |A|]
-        signature = np.column_stack([labels, succ_labels])
-        _, new_labels = np.unique(signature, axis=0, return_inverse=True)
         rounds += 1
-        if len(np.unique(new_labels)) == len(np.unique(labels)):
+        groups: dict[int, dict[tuple, list[int]]] = {}
+        for o in touched:
+            sig = tuple(map(block_of.__getitem__, succ[o]))
+            groups.setdefault(block_of[o], {}).setdefault(sig, []).append(o)
+        changed: list[int] = []
+        for b, by_sig in groups.items():
+            parts = list(by_sig.values())
+            block = members[b]
+            rest = len(block) - sum(map(len, parts))
+            largest = max(parts, key=len)
+            if rest >= len(largest):
+                moving = parts
+            else:
+                moving = [p for p in parts if p is not largest]
+                if rest:
+                    moving.append([o for o in block if o not in touched])
+            for part in moving:
+                members[next_id] = moved = set(part)
+                block -= moved
+                for o in part:
+                    block_of[o] = next_id
+                next_id += 1
+                changed += part
+        if not changed:
             break
-        labels = new_labels
-    return canonicalize_blocks(labels), rounds
+        touched = {s for t in changed for s in src[ptr[t]:ptr[t + 1]]}
+    return canonicalize_blocks(np.array(block_of, dtype=np.int64)), rounds
 
 
 def partition_to_relation(part: Partition) -> PairRelation:
@@ -156,14 +199,10 @@ def distinguishing_oracle(
     n = mdp.num_observations
     bad = aux_disagreement(mdp.aux, aux_tol)
     reached = bad.copy()
-    succ_pairs = []
-    for a in range(mdp.num_actions):
-        fa = mdp.transition[:, a]
-        succ_pairs.append((fa[:, None], fa[None, :]))
     for _ in range(max_depth):
         frontier = np.zeros_like(reached)
-        for fa_i, fa_j in succ_pairs:
-            frontier |= reached[fa_i, fa_j]
+        for fa in mdp.transition.T:
+            frontier |= reached[fa][:, fa]
         frontier &= ~reached
         if not frontier.any():
             break
@@ -191,10 +230,6 @@ class CoObservedIndex:
     @property
     def num_sources(self) -> int:
         return self.obs_ids.shape[0]
-
-    def co_observed(self, x: int, y: int) -> list[int]:
-        """Actions present in the data for both dense sources x and y."""
-        return np.nonzero(self.has_action[x] & self.has_action[y])[0].tolist()
 
 
 def build_co_observed_index(ds: TransitionDataset) -> CoObservedIndex:
@@ -230,7 +265,7 @@ def empirical_apply_F(
     for a in range(index.has_action.shape[1]):
         has = index.has_action[:, a]
         succ = np.where(index.succ_dense[:, a] < 0, m, index.succ_dense[:, a])
-        clause = padded[np.ix_(succ, succ)]
+        clause = padded[succ][:, succ]
         clause &= has[:, None] & has[None, :]
         out |= clause
     return PairRelation(out)

@@ -52,6 +52,11 @@ def _write_manifest(out_dir: Path, config: dict, artifacts: list[Path]) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def _load_mdp(args) -> "bisim.DeterministicMDP":
     if args.counting:
         max_count, target_n = args.counting
@@ -70,8 +75,7 @@ def cmd_bisim(args) -> int:
     try:
         mdp = _load_mdp(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _input_error(exc)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.engine == "naive":
@@ -106,9 +110,8 @@ def cmd_empirical_bisim(args) -> int:
     try:
         ds = load_dataset(args.dataset)
         r_star_d, b_star_d, index = bisim.empirical_lfp(ds, args.aux_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     rel_path = out / "relation.csv"
     write_relation_csv(r_star_d, str(rel_path), index.obs_ids)
     summary = {
@@ -151,9 +154,12 @@ def cmd_collect(args) -> int:
 
 
 def _load_collected(dataset_path: str, channels: int) -> CollectedData:
+    """The dataset and its frames.bsli; OSError or ValueError when either is missing or malformed."""
     ds = load_dataset(dataset_path)
     frames_path = str(Path(dataset_path).with_name("frames.bsli"))
     blobs = load_frame_sidecar(frames_path)
+    if len(blobs) != 2 * len(ds):
+        raise ValueError(f"{frames_path}: {len(blobs)} frames for {len(ds)} records")
     src = np.stack([parse_ppm(blobs[2 * k], channels) for k in range(len(ds))])
     succ = np.stack([parse_ppm(blobs[2 * k + 1], channels) for k in range(len(ds))])
     return CollectedData(dataset=ds, source_frames=src, successor_frames=succ)
@@ -179,7 +185,10 @@ def cmd_train(args) -> int:
     config = preset_train_config(args.preset, args.seed, **overrides)
     if args.dataset is not None:
         env = preset_env_config(args.preset, args.seed)
-        data = collected_train_data(_load_collected(args.dataset, env.channels))
+        try:
+            data = collected_train_data(_load_collected(args.dataset, env.channels))
+        except (OSError, ValueError) as exc:
+            return _input_error(exc)
     else:
         data = preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
     try:
@@ -199,11 +208,15 @@ def cmd_train(args) -> int:
 
 
 def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
+    """Latents of every one-hot state, or of a sample of the --dataset frames;
+    OSError or ValueError when the dataset is absent, missing or malformed."""
     if params.config.obs_kind == "onehot":
         n = params.config.obs_shape[0]
         obs = np.eye(n)
         labels = np.arange(n)
         source_ids = np.arange(n)
+    elif args.dataset is None:
+        raise ValueError("image checkpoints need --dataset")
     else:
         collected = _load_collected(args.dataset, params.config.obs_shape[0])
         rng = np.random.default_rng(args.seed)
@@ -222,12 +235,11 @@ def cmd_analyze(args) -> int:
     try:
         params, _ = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if params.config.obs_kind == "image" and args.dataset is None:
-        print("error: image checkpoints need --dataset", file=sys.stderr)
-        return EXIT_VALIDATION
-    embs = _embeddings_for_checkpoint(args, params)
+        return _input_error(exc)
+    try:
+        embs = _embeddings_for_checkpoint(args, params)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     dm = analysis.pairwise_distances(embs)
     proj, fractions, _ = analysis.pca_2d(embs, seed=args.seed)
     pca_path, dist_path, heat_path = out / "pca.csv", out / "distances.csv", out / "heatmap.ppm"
@@ -257,17 +269,15 @@ def cmd_verify(args) -> int:
     try:
         params, _ = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _input_error(exc)
     try:
         mdp = _load_mdp(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if params.config.obs_kind == "image" and args.dataset is None:
-        print("error: image checkpoints need --dataset", file=sys.stderr)
-        return EXIT_VALIDATION
-    embs = _embeddings_for_checkpoint(args, params)
+        return _input_error(exc)
+    try:
+        embs = _embeddings_for_checkpoint(args, params)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     r_star, _, _ = bisim.least_fixed_point(mdp)
     if args.eps_collapse == "auto":
         eps = 1e-3 * analysis.median_pairwise_distance(embs.vectors)

@@ -20,6 +20,12 @@ import numpy as np
 MAGIC = b"BSLB"
 SIDECAR_MAGIC = b"BSLI"
 FORMAT_VERSION = 1
+# after the magic: version, |O|, |A|, d_p and the record count
+_HEADER = struct.Struct("<IIIIQ")
+_PAYLOAD_START = len(MAGIC) + _HEADER.size
+# after the sidecar magic: version and frame count; the offset table follows
+_SIDECAR_HEADER = struct.Struct("<IQ")
+_OFFSETS_START = len(SIDECAR_MAGIC) + _SIDECAR_HEADER.size
 
 
 @dataclass
@@ -92,7 +98,7 @@ def save_dataset(ds: TransitionDataset, path: str) -> None:
     m = len(ds)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IIIIQ", FORMAT_VERSION, ds.num_observations, ds.num_actions, ds.aux_dim, m))
+        fh.write(_HEADER.pack(FORMAT_VERSION, ds.num_observations, ds.num_actions, ds.aux_dim, m))
         rec = np.zeros(m, dtype=_record_dtype(ds.aux_dim))
         rec["source"] = ds.sources
         rec["action"] = ds.actions
@@ -102,14 +108,22 @@ def save_dataset(ds: TransitionDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> TransitionDataset:
+    """Read a BSLB file; ValueError for a bad magic or version, or a short header or payload."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, num_obs, num_actions, aux_dim, count = struct.unpack("<IIIIQ", fh.read(24))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        rec = np.frombuffer(fh.read(), dtype=_record_dtype(aux_dim), count=count)
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < _PAYLOAD_START:
+        raise ValueError(f"{path}: short header, {len(raw)} of {_PAYLOAD_START} bytes")
+    version, num_obs, num_actions, aux_dim, count = _HEADER.unpack_from(raw, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    dtype = _record_dtype(aux_dim)
+    payload = len(raw) - _PAYLOAD_START
+    if payload < count * dtype.itemsize:
+        raise ValueError(f"{path}: short payload, {count} records need {count * dtype.itemsize} bytes, "
+                         f"found {payload}")
+    rec = np.frombuffer(raw, dtype=dtype, count=count, offset=_PAYLOAD_START)
     return TransitionDataset(
         num_observations=num_obs,
         num_actions=num_actions,
@@ -140,7 +154,7 @@ def save_frame_sidecar(frames: list[bytes], path: str) -> None:
     """Write concatenated PPM frames with an offset index table."""
     with open(path, "wb") as fh:
         fh.write(SIDECAR_MAGIC)
-        fh.write(struct.pack("<IQ", FORMAT_VERSION, len(frames)))
+        fh.write(_SIDECAR_HEADER.pack(FORMAT_VERSION, len(frames)))
         offsets = np.zeros(len(frames), dtype="<u8")
         pos = 0
         for k, blob in enumerate(frames):
@@ -156,6 +170,8 @@ def parse_ppm(blob: bytes, channels: int = 3) -> np.ndarray:
     if not blob.startswith(b"P6"):
         raise ValueError("not a P6 PPM")
     parts = blob.split(b"\n", 3)
+    if len(parts) != 4:
+        raise ValueError("truncated PPM header")
     w, h = (int(x) for x in parts[1].split())
     rgb = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * 3).reshape(h, w, 3)
     frame = rgb.transpose(2, 0, 1)
@@ -165,16 +181,21 @@ def parse_ppm(blob: bytes, channels: int = 3) -> np.ndarray:
 
 
 def load_frame_sidecar(path: str) -> list[bytes]:
+    """Read a BSLI file; ValueError for a bad magic or version, or a short header or offset table."""
     with open(path, "rb") as fh:
-        if fh.read(4) != SIDECAR_MAGIC:
-            raise ValueError(f"{path}: bad sidecar magic")
-        version, count = struct.unpack("<IQ", fh.read(12))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        offsets = np.frombuffer(fh.read(8 * count), dtype="<u8")
-        payload = fh.read()
-    out = []
-    for k in range(count):
-        end = int(offsets[k + 1]) if k + 1 < count else len(payload)
-        out.append(payload[int(offsets[k]):end])
-    return out
+        raw = fh.read()
+    if raw[:4] != SIDECAR_MAGIC:
+        raise ValueError(f"{path}: bad sidecar magic")
+    if len(raw) < _OFFSETS_START:
+        raise ValueError(f"{path}: short sidecar header, {len(raw)} of {_OFFSETS_START} bytes")
+    version, count = _SIDECAR_HEADER.unpack_from(raw, len(SIDECAR_MAGIC))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    if len(raw) - _OFFSETS_START < 8 * count:
+        raise ValueError(f"{path}: short offset table for {count} frames")
+    offsets = np.frombuffer(raw, dtype="<u8", count=count, offset=_OFFSETS_START).tolist()
+    payload = raw[_OFFSETS_START + 8 * count:]
+    ends = offsets[1:] + [len(payload)]
+    if any(a > b for a, b in zip(offsets, ends)):
+        raise ValueError(f"{path}: frame offsets out of order or past the end")
+    return [payload[a:b] for a, b in zip(offsets, ends)]

@@ -132,19 +132,31 @@ def save_mdp_json(mdp: DeterministicMDP, path: str) -> None:
         json.dump(payload, fh)
 
 
+MDP_JSON_KEYS = ("num_observations", "num_actions", "transition", "aux", "reward", "initial_dist")
+
+
 def load_mdp_json(path: str) -> DeterministicMDP:
+    """Read an MDP written by save_mdp_json; ValueError for anything malformed."""
     with open(path) as fh:
         payload = json.load(fh)
-    n = int(payload["num_observations"])
-    na = int(payload["num_actions"])
-    mdp = DeterministicMDP(
-        num_observations=n,
-        num_actions=na,
-        transition=np.asarray(payload["transition"], dtype=np.int64).reshape(n, na),
-        aux=np.asarray(payload["aux"], dtype=np.float64).reshape(n, -1),
-        reward=np.asarray(payload["reward"], dtype=np.float64),
-        initial_dist=np.asarray(payload["initial_dist"], dtype=np.float64),
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"invalid MDP file {path}: not a JSON object")
+    missing = [key for key in MDP_JSON_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"invalid MDP file {path}: missing " + ", ".join(missing))
+    try:
+        n = int(payload["num_observations"])
+        na = int(payload["num_actions"])
+        mdp = DeterministicMDP(
+            num_observations=n,
+            num_actions=na,
+            transition=np.asarray(payload["transition"], dtype=np.int64).reshape(n, na),
+            aux=np.asarray(payload["aux"], dtype=np.float64).reshape(n, -1),
+            reward=np.asarray(payload["reward"], dtype=np.float64),
+            initial_dist=np.asarray(payload["initial_dist"], dtype=np.float64),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid MDP file {path}: {exc}") from exc
     errors = validate_mdp(mdp)
     if errors:
         raise ValueError(f"invalid MDP file {path}: " + "; ".join(errors))

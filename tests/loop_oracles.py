@@ -2,7 +2,8 @@
 
 Each function here is the straightforward loop form of a library routine and
 serves as an oracle in test_loop_oracles.py: the library must give the same
-errors, arrays, file bytes and reports.
+errors, arrays, file bytes, reports, partitions and round counts. The
+`np.ix_` gathers of the bisimulation operators are kept here too.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from bisimlab.analysis import CollapseReport, DistanceMatrix, EmbeddingSet
-from bisimlab.bisim import CoObservedIndex
+from bisimlab.bisim import CoObservedIndex, aux_disagreement, aux_labels
 from bisimlab.dataset import TransitionDataset
-from bisimlab.relation import PairRelation
+from bisimlab.mdp import DeterministicMDP
+from bisimlab.relation import PairRelation, Partition, canonicalize_blocks
 
 
 def validate(ds: TransitionDataset) -> list[str]:
@@ -106,3 +108,54 @@ def complement_is_transitive(rel: PairRelation) -> bool:
         if np.array_equal(step, closure):
             return bool(np.array_equal(closure, comp))
         closure = step
+
+
+def partition_refine_with_rounds(mdp: DeterministicMDP, aux_tol: float = 0.0) -> tuple[Partition, int]:
+    """Moore's refinement: every round ranks all observations' successor-block signatures."""
+    labels = aux_labels(mdp.aux, aux_tol)
+    rounds = 0
+    while True:
+        succ_labels = labels[mdp.transition]  # [n, |A|]
+        signature = np.column_stack([labels, succ_labels])
+        _, new_labels = np.unique(signature, axis=0, return_inverse=True)
+        rounds += 1
+        if len(np.unique(new_labels)) == len(np.unique(labels)):
+            break
+        labels = new_labels
+    return canonicalize_blocks(labels), rounds
+
+
+def apply_F(mdp: DeterministicMDP, rel: PairRelation, aux_tol: float = 0.0) -> PairRelation:
+    out = aux_disagreement(mdp.aux, aux_tol)
+    for a in range(mdp.num_actions):
+        fa = mdp.transition[:, a]
+        out |= rel.bits[np.ix_(fa, fa)]
+    return PairRelation(out)
+
+
+def empirical_apply_F(index: CoObservedIndex, rel: PairRelation, aux_tol: float = 0.0) -> PairRelation:
+    m = index.num_sources
+    out = aux_disagreement(index.aux, aux_tol)
+    padded = np.zeros((m + 1, m + 1), dtype=bool)
+    padded[:m, :m] = rel.bits
+    for a in range(index.has_action.shape[1]):
+        has = index.has_action[:, a]
+        succ = np.where(index.succ_dense[:, a] < 0, m, index.succ_dense[:, a])
+        clause = padded[np.ix_(succ, succ)]
+        clause &= has[:, None] & has[None, :]
+        out |= clause
+    return PairRelation(out)
+
+
+def distinguishing_oracle(mdp: DeterministicMDP, max_depth: int, aux_tol: float = 0.0) -> PairRelation:
+    reached = aux_disagreement(mdp.aux, aux_tol)
+    succ_pairs = [(fa[:, None], fa[None, :]) for fa in mdp.transition.T]
+    for _ in range(max_depth):
+        frontier = np.zeros_like(reached)
+        for fa_i, fa_j in succ_pairs:
+            frontier |= reached[fa_i, fa_j]
+        frontier &= ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+    return PairRelation(reached)

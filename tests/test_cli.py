@@ -295,3 +295,80 @@ def test_bad_checkpoint_exits_2(tmp_path, capsys, tabular_checkpoint, command, d
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["num_actions", "reward", "transition"])
+def test_bisim_mdp_missing_key_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "mdp.json"
+    save_mdp_json(random_mdp(6, 2, 2, np.random.default_rng(0)), str(path))
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    code, _, err = run(["bisim", "--mdp", str(path), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.fixture
+def collected_dir(tmp_path, capsys):
+    code, _, _ = run(["collect", "--steps", "20", "--image-size", "8", "--out-dir", str(tmp_path / "data")], capsys)
+    assert code == 0
+    return tmp_path / "data"
+
+
+@pytest.mark.parametrize("damage", ["missing", "short-header", "short-payload"])
+def test_empirical_bisim_bad_dataset_exits_2(tmp_path, capsys, collected_dir, damage):
+    raw = (collected_dir / "dataset.bslb").read_bytes()
+    bad = tmp_path / "bad.bslb"
+    if damage == "short-header":
+        bad.write_bytes(raw[:20])
+    elif damage == "short-payload":
+        bad.write_bytes(raw[:-1])
+    code, _, err = run(["empirical-bisim", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def _image_checkpoint(tmp_path, capsys, dataset):
+    code, _, _ = run(["train", "--preset", "reward_aux", "--dataset", str(dataset), "--steps", "2",
+                      "--out-dir", str(tmp_path / "train")], capsys)
+    assert code == 0
+    return tmp_path / "train" / "checkpoint.pjpa"
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "no-frames", "few-frames"])
+@pytest.mark.parametrize("command", ["train", "analyze", "verify"])
+def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command, damage):
+    dataset = collected_dir / "dataset.bslb"
+    if command != "train":
+        ckpt = _image_checkpoint(tmp_path, capsys, dataset)
+    if damage == "missing":
+        dataset = collected_dir / "absent.bslb"
+    elif damage == "truncated":
+        dataset.write_bytes(dataset.read_bytes()[:40])
+    elif damage == "no-frames":
+        (collected_dir / "frames.bsli").unlink()
+    else:
+        frames = cli.load_frame_sidecar(str(collected_dir / "frames.bsli"))
+        cli.save_frame_sidecar(frames[:-2], str(collected_dir / "frames.bsli"))
+    out = ["--out-dir", str(tmp_path / "out")]
+    if command == "train":
+        argv = ["train", "--preset", "reward_aux", "--dataset", str(dataset), "--steps", "2", *out]
+    else:
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(dataset), *out]
+        if command == "verify":
+            argv += ["--counting", "8", "4"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_image_checkpoint_without_dataset_exits_2(tmp_path, capsys, collected_dir, command):
+    ckpt = _image_checkpoint(tmp_path, capsys, collected_dir / "dataset.bslb")
+    argv = [command, "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--counting", "8", "4"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == "error: image checkpoints need --dataset\n"

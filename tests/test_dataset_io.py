@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisimlab.counting_env import CountingEnvConfig, collect_dataset
 from bisimlab.dataset import (
@@ -84,3 +86,44 @@ def test_sidecar_roundtrip(tmp_path):
     # frame 2k is the source of record k, 2k+1 its successor
     assert np.array_equal(parse_ppm(loaded[0]), data.source_frames[0])
     assert np.array_equal(parse_ppm(loaded[1]), data.successor_frames[0])
+
+
+def _collected_files(tmp_path):
+    """dataset.bslb and frames.bsli of a short real collect."""
+    collected = collect_dataset(CountingEnvConfig(image_size=8, channels=1, seed=0), steps=12,
+                                rng=np.random.default_rng(0))
+    save_dataset(collected.dataset, str(tmp_path / "dataset.bslb"))
+    save_frame_sidecar(collected.ppm_frames(), str(tmp_path / "frames.bsli"))
+    return (tmp_path / "dataset.bslb").read_bytes(), (tmp_path / "frames.bsli").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_dataset_raises_value_error(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("bslb")
+    raw, _ = _collected_files(tmp_path)
+    length = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path / "cut.bslb"
+    path.write_bytes(raw[:length])
+    with pytest.raises(ValueError):
+        load_dataset(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_sidecar_raises_value_error_or_short_frames(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("bsli")
+    _, raw = _collected_files(tmp_path)
+    full = load_frame_sidecar(str(tmp_path / "frames.bsli"))
+    length = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path / "cut.bsli"
+    path.write_bytes(raw[:length])
+    try:
+        frames = load_frame_sidecar(str(path))
+    except ValueError:
+        return
+    # a cut inside the frames leaves the offset table whole; only the tail frames shrink
+    assert len(frames) == len(full) and frames != full
+    with pytest.raises(ValueError):
+        for blob in frames:
+            parse_ppm(blob, 1)

@@ -49,7 +49,7 @@ def test_no_shared_action_contributes_nothing():
     # x and y observed under different actions only; same aux
     ds = TransitionDataset(4, 2, [0, 1], [0, 1], [2, 3], [[0.0], [0.0]])
     index = build_co_observed_index(ds)
-    assert index.co_observed(0, 1) == []
+    assert not np.any(index.has_action[0] & index.has_action[1])
     seeded = PairRelation.empty(2)
     seeded.bits[:] = True  # even a full relation cannot fire the successor clause
     np.fill_diagonal(seeded.bits, False)

@@ -1,13 +1,22 @@
-"""The array implementations agree with the loops they replaced (loop_oracles.py)."""
+"""The library agrees with the loops, the Moore refinement and the `np.ix_`
+gathers it replaced (loop_oracles.py)."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_oracles
 from bisimlab.analysis import DistanceMatrix, EmbeddingSet, verify_no_collapse, write_distance_csv
-from bisimlab.bisim import build_co_observed_index
+from bisimlab.bisim import (
+    apply_F,
+    build_co_observed_index,
+    distinguishing_oracle,
+    empirical_apply_F,
+    partition_refine_with_rounds,
+)
 from bisimlab.dataset import TransitionDataset
+from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp
 from bisimlab.relation import PairRelation, write_relation_csv
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -157,3 +166,93 @@ def test_distance_csv_matches_loop(tmp_path_factory, rows, cols, data):
     path = tmp_path_factory.mktemp("dist") / "distances.csv"
     write_distance_csv(dm, str(path))
     assert path.read_text() == loop_oracles.distance_csv(dm)
+
+
+@st.composite
+def mdps(draw, max_n=60):
+    """Deterministic MDPs with up to `max_n` observations and 1-3 actions.
+
+    Half are lifted: every observation is one of a few copies of a small
+    MDP's state, with that state's aux (from at most three values) and a
+    random copy of its successor, so blocks are large and refinement splits
+    them late. Some transitions are replaced by self-loops. Aux is sometimes
+    continuous and 1-2 dimensional, for aux tolerances above zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_n))
+    na = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(n, 8)))
+        state = rng.permutation(np.arange(n) % k)
+        copies = [np.flatnonzero(state == s) for s in range(k)]
+        small_t = rng.integers(0, k, size=(k, na))
+        transition = np.array([[rng.choice(copies[t]) for t in small_t[s]] for s in state]).reshape(n, na)
+        aux = rng.integers(0, draw(st.integers(1, 3)), size=k)[state].astype(np.float64).reshape(n, 1)
+    else:
+        transition = rng.integers(0, n, size=(n, na))
+        aux = rng.integers(0, draw(st.integers(1, 4)), size=(n, 1)).astype(np.float64)
+    loops = rng.random((n, na)) < draw(st.sampled_from((0.0, 0.2, 0.6)))
+    transition = np.where(loops, np.arange(n)[:, None], transition)
+    if draw(st.booleans()):
+        aux = rng.random((n, draw(st.integers(1, 2)))) * 3.0
+    return DeterministicMDP(n, na, transition, aux, aux[:, 0].copy(), np.full(n, 1.0 / n))
+
+
+AUX_TOLS = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
+
+
+@settings(max_examples=600, deadline=None)
+@given(mdps(), AUX_TOLS)
+def test_partition_refine_matches_moore(mdp, tol):
+    got, rounds = partition_refine_with_rounds(mdp, tol)
+    want, want_rounds = loop_oracles.partition_refine_with_rounds(mdp, tol)
+    assert got.block_of.tolist() == want.block_of.tolist()
+    assert got.num_blocks == want.num_blocks
+    assert rounds == want_rounds
+
+
+@pytest.mark.parametrize("n", [1, 2, 250, 1000])
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_partition_refine_matches_moore_on_chains(n, end):
+    mdp = counting_abstract_mdp(n - 1, 0 if end == "low" else n - 1)
+    got, rounds = partition_refine_with_rounds(mdp)
+    want, want_rounds = loop_oracles.partition_refine_with_rounds(mdp)
+    assert got.block_of.tolist() == want.block_of.tolist()
+    assert (got.num_blocks, rounds) == (want.num_blocks, want_rounds)
+
+
+def test_chain_closed_form_at_20000():
+    # Moore's rounds on a chain whose target sits at one end: n singletons after n - 1 rounds
+    for n in range(2, 30):
+        part, rounds = loop_oracles.partition_refine_with_rounds(counting_abstract_mdp(n - 1, n - 1))
+        assert (part.num_blocks, rounds) == (n, n - 1)
+    n = 20_000
+    for target in (0, n - 1):
+        part, rounds = partition_refine_with_rounds(counting_abstract_mdp(n - 1, target))
+        assert part.num_blocks == n
+        assert np.array_equal(part.block_of, np.arange(n))
+        assert rounds == n - 1
+
+
+def _random_relation(rng, n):
+    return PairRelation(rng.random((n, n)) < rng.choice((0.05, 0.3, 0.9)))
+
+
+@SETTINGS
+@given(mdps(max_n=30), AUX_TOLS, st.integers(0, 2**32 - 1))
+def test_pair_gathers_match_ix(mdp, tol, seed):
+    rng = np.random.default_rng(seed)
+    rel = _random_relation(rng, mdp.num_observations)
+    assert np.array_equal(apply_F(mdp, rel, tol).bits, loop_oracles.apply_F(mdp, rel, tol).bits)
+    depth = int(rng.integers(0, 5))
+    assert np.array_equal(distinguishing_oracle(mdp, depth, tol).bits,
+                          loop_oracles.distinguishing_oracle(mdp, depth, tol).bits)
+
+
+@SETTINGS
+@given(datasets(consistent=True), AUX_TOLS, st.integers(0, 2**32 - 1))
+def test_empirical_gather_matches_ix(ds, tol, seed):
+    index = build_co_observed_index(ds)
+    rel = _random_relation(np.random.default_rng(seed), index.num_sources)
+    assert np.array_equal(empirical_apply_F(index, rel, tol).bits,
+                          loop_oracles.empirical_apply_F(index, rel, tol).bits)

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisimlab.mdp import (
+    MDP_JSON_KEYS,
     DeterministicMDP,
     counting_abstract_mdp,
     load_mdp_json,
@@ -91,3 +96,42 @@ def test_load_rejects_invalid(tmp_path):
     save_mdp_json(m, path)
     with pytest.raises(ValueError):
         load_mdp_json(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(MDP_JSON_KEYS), min_size=1))
+def test_load_rejects_missing_keys(tmp_path_factory, dropped):
+    path = tmp_path_factory.mktemp("mdp") / "mdp.json"
+    save_mdp_json(random_mdp(5, 2, 2, np.random.default_rng(0)), str(path))
+    payload = json.loads(path.read_text())
+    for key in dropped:
+        del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="missing"):
+        load_mdp_json(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("transition", [0, 1, 2]),
+    ("transition", [[0, 1], [1]]),
+    ("transition", "abc"),
+    ("aux", [1.0, 2.0]),
+    ("num_actions", None),
+    ("num_observations", "five"),
+    ("initial_dist", {"a": 1}),
+])
+def test_load_rejects_bad_shapes_and_types(tmp_path, key, value):
+    path = tmp_path / "mdp.json"
+    save_mdp_json(random_mdp(5, 2, 2, np.random.default_rng(0)), str(path))
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="invalid MDP file"):
+        load_mdp_json(str(path))
+
+
+def test_load_rejects_non_object(tmp_path):
+    path = tmp_path / "mdp.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        load_mdp_json(str(path))
