@@ -37,10 +37,9 @@ print(f"dyn loss {report.dyn_loss:.3e}, aux loss {report.aux_loss:.3e}")
 assert report.dyn_loss == 0.0 and report.aux_loss == 0.0
 
 # the verifier confirms all distinguishable pairs are separated
-r_star, _, _ = bisim.least_fixed_point(mdp)
 vectors = encode(params, one_hot_observations(mdp))
 embs = EmbeddingSet(vectors=vectors, labels=np.arange(n), source_ids=np.arange(n))
-collapse = verify_no_collapse(embs, r_star, eps_collapse=1e-9)
+collapse = verify_no_collapse(embs, bisim.partition_refine(mdp), eps_collapse=1e-9)
 print(f"verdict: {collapse.verdict} "
       f"({collapse.pairs_checked} pairs, {len(collapse.violations)} violations, "
       f"min cross-class distance {collapse.min_cross_class_distance:.3f})")

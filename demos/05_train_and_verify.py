@@ -39,9 +39,8 @@ labels = np.arange(mdp.num_observations)
 acc = nearest_centroid_accuracy(vectors, labels)
 print(f"nearest-centroid accuracy: {acc:.2f}")
 
-r_star, _, _ = bisim.least_fixed_point(mdp)
 eps = 1e-3 * median_pairwise_distance(vectors)
 embs = EmbeddingSet(vectors=vectors, labels=labels, source_ids=labels)
-report = verify_no_collapse(embs, r_star, eps)
+report = verify_no_collapse(embs, bisim.partition_refine(mdp), eps)
 print(f"no-collapse verdict at eps {eps:.2e}: {report.verdict} "
       f"(min distance between distinguishable pairs {report.min_cross_class_distance:.3f})")

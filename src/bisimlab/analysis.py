@@ -1,18 +1,21 @@
 """Embedding diagnostics and the executable no-collapse check.
 
-PCA uses power iteration with deflation on the mean-centered covariance; the
-full eigendecomposition only appears as an oracle in tests. Heatmaps export
-as CSV plus a grayscale PPM with red class-boundary lines baked in.
+Every distance comes from `distances`, the norm of an explicit difference
+taken a block of rows at a time. PCA takes the top two eigenvectors of the
+mean-centered covariance from `np.linalg.eigh`. The no-collapse check reads
+the largest bisimulation as a partition: a pair is checked when its
+observations lie in different blocks. Heatmaps export as CSV plus a
+grayscale PPM with red class-boundary lines baked in.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from bisimlab.relation import PairRelation
+from bisimlab.relation import Partition
 
 
 @dataclass
@@ -40,6 +43,26 @@ class DistanceMatrix:
     order: np.ndarray  # original indices in sorted order
 
 
+# difference elements formed at a time: a block of rows of `a` against all of `b`
+_BLOCK_ELEMENTS = 2**16
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """l2 distance of every row of `a` to every row of `b`, as an [len(a), len(b)] matrix.
+
+    Each entry is the norm of an explicit difference, so a distance far below
+    the norms keeps its digits (the Gram expansion |a|^2 + |b|^2 - 2ab cancels
+    them), the result is exactly symmetric with a zero diagonal when a is b,
+    and it equals np.linalg.norm(a[:, None] - b[None], axis=2) bit for bit.
+    """
+    out = np.empty((len(a), len(b)))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, b.size))
+    for lo in range(0, len(a), rows):
+        diff = a[lo : lo + rows, None, :] - b[None, :, :]
+        out[lo : lo + rows] = np.sqrt(np.sum(diff * diff, axis=-1))
+    return out
+
+
 def pairwise_distances(embs: EmbeddingSet) -> DistanceMatrix:
     """Exact l2 distance matrix with rows ordered by (label, source id)."""
     if len(embs) < 1:
@@ -47,79 +70,38 @@ def pairwise_distances(embs: EmbeddingSet) -> DistanceMatrix:
     sid = embs.source_ids if embs.source_ids is not None else np.arange(len(embs))
     order = np.lexsort((sid, embs.labels))
     v = embs.vectors[order]
-    sq = np.sum(v * v, axis=1)
-    gram = v @ v.T
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    mat = np.sqrt(d2)
-    np.fill_diagonal(mat, 0.0)
-    mat = np.minimum(mat, mat.T)  # enforce exact symmetry against rounding
-    return DistanceMatrix(matrix=mat, labels=embs.labels[order], order=order)
+    return DistanceMatrix(matrix=distances(v, v), labels=embs.labels[order], order=order)
 
 
-def _power_iteration(
-    cov: np.ndarray, rng: np.random.Generator, tol: float = 1e-10, max_iter: int = 10_000
-) -> tuple[np.ndarray, float]:
-    d = cov.shape[0]
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v, 0.0  # zero matrix: any unit vector is an eigenvector
-        w /= norm
-        delta = min(np.linalg.norm(w - v), np.linalg.norm(w + v))
-        v = w
-        lam = float(v @ cov @ v)
-        if delta < tol:
-            return v, lam
-    raise RuntimeError("power iteration did not converge (near-degenerate spectrum)")
-
-
-def pca_2d(
-    embs: EmbeddingSet, seed: int = 0, tol: float = 1e-10, max_iter: int = 10_000
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-2 principal projection via power iteration with deflation.
+def pca_2d(embs: EmbeddingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-2 principal projection from the eigendecomposition of the covariance.
 
     Returns (projection [N, 2], explained-variance fractions [2],
     components [2, d]). Eigenvector signs: first nonzero coordinate positive.
+    A 1-dimensional embedding gets a zero second component.
     """
     if len(embs) < 3:
         raise ValueError("need at least 3 embeddings for PCA")
     x = embs.vectors - embs.vectors.mean(axis=0)
     cov = (x.T @ x) / len(embs)
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    k = min(2, len(eigvals))
+    comps = np.zeros((2, len(eigvals)))
+    comps[:k] = eigvecs[:, ::-1][:, :k].T
+    lead = np.argmax(np.abs(comps) > 1e-12, axis=1)
+    comps *= np.where(comps[[0, 1], lead] < 0, -1.0, 1.0)[:, None]
+    top = np.zeros(2)
+    top[:k] = np.maximum(eigvals[::-1][:k], 0.0)
     total_var = float(np.trace(cov))
-    rng = np.random.default_rng(seed)
-    components = []
-    eigvals = []
-    deflated = cov.copy()
-    for _ in range(2):
-        try:
-            v, lam = _power_iteration(deflated, rng, tol, max_iter)
-        except RuntimeError:
-            # near-degenerate spectrum: retry once at a looser tolerance
-            v, lam = _power_iteration(deflated, rng, tol * 100, max_iter)
-        for prev in components:
-            v = v - (v @ prev) * prev  # deflation residue can leave the iterate tilted
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            v = v / norm
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        components.append(v)
-        eigvals.append(max(lam, 0.0))
-        deflated = deflated - lam * np.outer(v, v)
-    comps = np.stack(components)
-    fractions = np.array(eigvals) / total_var if total_var > 0 else np.zeros(2)
+    fractions = top / total_var if total_var > 0 else np.zeros(2)
     return x @ comps.T, fractions, comps
 
 
-def class_centroids(embs: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
-    classes = np.unique(embs.labels)
-    cents = np.stack([embs.vectors[embs.labels == c].mean(axis=0) for c in classes])
-    return classes, cents
+def class_centroids(vectors: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted classes, each class's mean vector, and each row's index into the classes."""
+    classes, inverse = np.unique(labels, return_inverse=True)
+    cents = np.stack([vectors[inverse == k].mean(axis=0) for k in range(len(classes))])
+    return classes, cents, inverse
 
 
 def nearest_centroid_accuracy(vectors: np.ndarray, labels: np.ndarray) -> float:
@@ -128,12 +110,9 @@ def nearest_centroid_accuracy(vectors: np.ndarray, labels: np.ndarray) -> float:
     Centroids are class means; distance ties break toward the smaller label.
     """
     embs = EmbeddingSet(vectors=vectors, labels=labels)
-    classes, cents = class_centroids(embs)
-    if np.any(np.bincount(embs.labels, minlength=classes.max() + 1)[classes] < 1):
-        raise ValueError("empty label class")
-    d = np.linalg.norm(embs.vectors[:, None, :] - cents[None, :, :], axis=2)
+    classes, cents, _ = class_centroids(embs.vectors, embs.labels)
     # classes are sorted, so argmin's first-match rule is the tie-break we want
-    assigned = classes[np.argmin(d, axis=1)]
+    assigned = classes[np.argmin(distances(embs.vectors, cents), axis=1)]
     return float(np.mean(assigned == embs.labels))
 
 
@@ -146,14 +125,13 @@ def collapse_ratio(vectors: np.ndarray, labels: np.ndarray) -> float:
     embs = EmbeddingSet(vectors=vectors, labels=labels)
     if len(embs) < 2:
         raise ValueError("need at least 2 embeddings")
-    total = float(np.mean(np.sum((embs.vectors - embs.vectors.mean(axis=0)) ** 2, axis=1)))
+    v = embs.vectors
+    total = float(np.mean(np.sum((v - v.mean(axis=0)) ** 2, axis=1)))
     if total == 0.0:
         return 1.0
-    within = 0.0
-    for c in np.unique(embs.labels):
-        members = embs.vectors[embs.labels == c]
-        within += float(np.sum(np.sum((members - members.mean(axis=0)) ** 2, axis=1)))
-    return (within / len(embs)) / total
+    _, cents, inverse = class_centroids(v, embs.labels)
+    within = float(np.mean(np.sum((v - cents[inverse]) ** 2, axis=1)))
+    return within / total
 
 
 @dataclass
@@ -184,50 +162,37 @@ class CollapseReport:
         )
 
 
-def verify_no_collapse(
-    embs: EmbeddingSet, r_star: PairRelation, eps_collapse: float
-) -> CollapseReport:
+def verify_no_collapse(embs: EmbeddingSet, part: Partition, eps_collapse: float) -> CollapseReport:
     """Check the executable form of the no-collapse guarantee.
 
-    Every embedded pair whose observations lie in R* (distinguishable, hence
-    outside the largest bisimulation) must sit at l2 distance >= eps_collapse.
-    Pairs (i, j), i < j, are taken one row i at a time, so violations come in
-    row-major order.
+    `part` is the largest bisimulation over the observations. Every embedded
+    pair whose observations lie in different blocks (distinguishable, hence
+    outside the bisimulation) must sit at l2 distance >= eps_collapse.
+    Pairs (i, j), i < j, are taken in row-major order, and so are the
+    violations.
     """
     if embs.source_ids is None:
         raise ValueError("verify_no_collapse requires source_ids")
-    n = len(embs)
-    ids, v = embs.source_ids, embs.vectors
-    violations: list[tuple[int, int, float]] = []
-    pairs_checked = 0
-    min_cross = np.inf
-    max_within = 0.0
-    for i in range(n - 1):
-        diff = v[i + 1 :] - v[i]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        cross = r_star.bits[ids[i], ids[i + 1 :]]
-        if cross.any():
-            pairs_checked += int(cross.sum())
-            min_cross = min(min_cross, float(dist[cross].min()))
-            hit = np.flatnonzero(cross & (dist < eps_collapse))
-            oi = int(ids[i])
-            violations += [(oi, oj, d) for oj, d in zip(ids[i + 1 + hit].tolist(), dist[hit].tolist())]
-        if not cross.all():
-            max_within = max(max_within, float(dist[~cross].max()))
+    ids = embs.source_ids
+    block = part.block_of[ids]
+    d = distances(embs.vectors, embs.vectors)
+    upper = np.triu(np.ones(d.shape, dtype=bool), 1)
+    cross = upper & (block[:, None] != block[None, :])
+    within = upper & ~cross
+    i, j = np.nonzero(cross & (d < eps_collapse))
+    pairs_checked = int(np.count_nonzero(cross))
     return CollapseReport(
         pairs_checked=pairs_checked,
-        violations=violations,
-        min_cross_class_distance=float(min_cross) if pairs_checked else float("nan"),
-        max_within_class_distance=max_within,
+        violations=list(zip(ids[i].tolist(), ids[j].tolist(), d[i, j].tolist())),
+        min_cross_class_distance=float(d[cross].min()) if pairs_checked else float("nan"),
+        max_within_class_distance=float(d[within].max()) if within.any() else 0.0,
         eps_collapse=eps_collapse,
     )
 
 
 def median_pairwise_distance(vectors: np.ndarray) -> float:
-    embs = EmbeddingSet(vectors=vectors, labels=np.zeros(len(vectors), dtype=np.int64))
-    dm = pairwise_distances(embs)
-    iu = np.triu_indices(len(embs), k=1)
-    return float(np.median(dm.matrix[iu]))
+    v = EmbeddingSet(vectors=vectors, labels=np.zeros(len(vectors), dtype=np.int64)).vectors
+    return float(np.median(distances(v, v)[np.triu_indices(len(v), k=1)]))
 
 
 # --- exports ---

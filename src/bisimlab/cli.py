@@ -241,7 +241,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     dm = analysis.pairwise_distances(embs)
-    proj, fractions, _ = analysis.pca_2d(embs, seed=args.seed)
+    proj, fractions, _ = analysis.pca_2d(embs)
     pca_path, dist_path, heat_path = out / "pca.csv", out / "distances.csv", out / "heatmap.ppm"
     analysis.write_pca_csv(proj, embs.labels, str(pca_path))
     analysis.write_distance_csv(dm, str(dist_path))
@@ -260,6 +260,16 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _check_fits_mdp(params, embs: analysis.EmbeddingSet, num_observations: int) -> None:
+    """ValueError when the checkpoint's observations are not the MDP's."""
+    if params.config.obs_kind == "onehot" and params.config.obs_shape[0] != num_observations:
+        raise ValueError(f"checkpoint encodes {params.config.obs_shape[0]} one-hot observations, "
+                         f"the MDP has {num_observations}")
+    if len(embs) and embs.source_ids.max() >= num_observations:
+        raise ValueError(f"observation id {embs.source_ids.max()} is out of range "
+                         f"for an MDP with {num_observations} observations")
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,18 +282,15 @@ def cmd_verify(args) -> int:
         return _input_error(exc)
     try:
         mdp = _load_mdp(args)
-    except (ValueError, OSError) as exc:
-        return _input_error(exc)
-    try:
         embs = _embeddings_for_checkpoint(args, params)
+        _check_fits_mdp(params, embs, mdp.num_observations)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    r_star, _, _ = bisim.least_fixed_point(mdp)
     if args.eps_collapse == "auto":
         eps = 1e-3 * analysis.median_pairwise_distance(embs.vectors)
     else:
         eps = float(args.eps_collapse)
-    report = analysis.verify_no_collapse(embs, r_star, eps)
+    report = analysis.verify_no_collapse(embs, bisim.partition_refine(mdp), eps)
     report_path = out / "collapse_report.json"
     report_path.write_text(report.to_json())
     _write_manifest(out, {"command": "verify", "checkpoint": args.checkpoint,

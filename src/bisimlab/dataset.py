@@ -108,7 +108,8 @@ def save_dataset(ds: TransitionDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> TransitionDataset:
-    """Read a BSLB file; ValueError for a bad magic or version, or a short header or payload."""
+    """Read a BSLB file; ValueError for a bad magic or version, a short header or
+    payload, or bytes after the last record."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -119,10 +120,10 @@ def load_dataset(path: str) -> TransitionDataset:
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     dtype = _record_dtype(aux_dim)
-    payload = len(raw) - _PAYLOAD_START
-    if payload < count * dtype.itemsize:
-        raise ValueError(f"{path}: short payload, {count} records need {count * dtype.itemsize} bytes, "
-                         f"found {payload}")
+    payload, need = len(raw) - _PAYLOAD_START, count * dtype.itemsize
+    if payload != need:
+        kind = "short payload" if payload < need else "trailing bytes"
+        raise ValueError(f"{path}: {kind}, {count} records need {need} bytes, found {payload}")
     rec = np.frombuffer(raw, dtype=dtype, count=count, offset=_PAYLOAD_START)
     return TransitionDataset(
         num_observations=num_obs,

@@ -211,7 +211,7 @@ def test_criterion_5_perfect_fit_theorem(counting, capsys):
     vectors = encode(params, one_hot_observations(mdp))
     embs = EmbeddingSet(vectors=vectors, labels=np.arange(mdp.num_observations),
                         source_ids=np.arange(mdp.num_observations))
-    report = verify_no_collapse(embs, r_star, eps_collapse=1e-9)
+    report = verify_no_collapse(embs, bisim.quotient(r_star, mdp), eps_collapse=1e-9)
     elapsed = time.time() - t0
     ok = report.verdict == "pass" and len(report.violations) == 0 and elapsed < 1.0
     verdict(capsys, 5, ok,
@@ -228,7 +228,7 @@ def test_criterion_6_trained_no_collapse(counting, capsys):
     vectors = encode(result.best_params, one_hot_observations(mdp))
     embs = EmbeddingSet(vectors=vectors, labels=np.arange(9), source_ids=np.arange(9))
     eps = 1e-3 * median_pairwise_distance(vectors)
-    report = verify_no_collapse(embs, r_star, eps)
+    report = verify_no_collapse(embs, bisim.quotient(r_star, mdp), eps)
     acc = nearest_centroid_accuracy(vectors, np.arange(9))
     elapsed = time.time() - t0
     ok = (

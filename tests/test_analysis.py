@@ -4,6 +4,7 @@ import pytest
 from bisimlab.analysis import (
     EmbeddingSet,
     collapse_ratio,
+    distances,
     median_pairwise_distance,
     nearest_centroid_accuracy,
     pairwise_distances,
@@ -12,7 +13,7 @@ from bisimlab.analysis import (
     write_heatmap_ppm,
 )
 from bisimlab.dataset import parse_ppm
-from bisimlab.relation import PairRelation
+from bisimlab.relation import Partition
 
 
 def test_pairwise_distances_known_values():
@@ -46,6 +47,24 @@ def test_pairwise_triangle_inequality():
     lhs = m[:, :, None]
     rhs = m[:, None, :] + m[None, :, :]
     assert np.all(lhs <= rhs + 1e-9)
+
+
+def test_distances_far_below_the_norm_keep_their_digits():
+    # the Gram expansion |a|^2 + |b|^2 - 2ab returns 0 or about 1e-4 here
+    vecs = np.array([[1e4, 0.0], [1e4 + 1e-6, 0.0]])
+    dm = pairwise_distances(EmbeddingSet(vectors=vecs, labels=np.zeros(2, dtype=np.int64)))
+    assert dm.matrix[0, 1] == pytest.approx(1e-6, rel=1e-3)
+    assert median_pairwise_distance(vecs) == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("rows, cols, dim", [(1, 1, 1), (7, 3, 5), (300, 40, 16), (5, 3000, 32)])
+def test_distances_equal_linalg_norm_bitwise(rows, cols, dim):
+    # nearest_centroid_accuracy selects training checkpoints, so its
+    # distances must stay those of np.linalg.norm to the last bit
+    rng = np.random.default_rng(rows + cols + dim)
+    a, b = rng.standard_normal((rows, dim)) * 3.0, rng.standard_normal((cols, dim))
+    want = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    assert distances(a, b).tobytes() == want.tobytes()
 
 
 def test_non_finite_embedding_rejected():
@@ -100,6 +119,14 @@ def test_pca_constant_data():
     assert np.allclose(fractions, 0.0)
 
 
+def test_pca_one_dimensional():
+    x = np.array([[-1.0], [0.5], [2.0], [-1.5]])
+    proj, fractions, comps = pca_2d(EmbeddingSet(vectors=x, labels=np.zeros(4, dtype=np.int64)))
+    assert comps.tolist() == [[1.0], [0.0]]
+    assert fractions.tolist() == pytest.approx([1.0, 0.0])
+    assert np.allclose(proj[:, 0], x[:, 0] - x.mean()) and not proj[:, 1].any()
+
+
 def test_pca_needs_three_points():
     with pytest.raises(ValueError):
         pca_2d(EmbeddingSet(vectors=np.zeros((2, 3)), labels=np.zeros(2, dtype=np.int64)))
@@ -147,23 +174,19 @@ def test_collapse_ratio_extremes():
     assert collapse_ratio(spread, one_class) == pytest.approx(1.0)
 
 
-def r_star_two_classes():
+def two_blocks():
     # observations 0, 1 vs 2, 3 are distinguishable
-    rel = PairRelation.empty(4)
-    for i in (0, 1):
-        for j in (2, 3):
-            rel.bits[i, j] = rel.bits[j, i] = True
-    return rel
+    return Partition(block_of=np.array([0, 0, 1, 1]), num_blocks=2)
 
 
 def test_verify_no_collapse_pass_and_fail():
-    rel = r_star_two_classes()
+    part = two_blocks()
     good = EmbeddingSet(
         vectors=np.array([[0.0], [0.1], [5.0], [5.1]]),
         labels=np.array([0, 0, 1, 1]),
         source_ids=np.arange(4),
     )
-    report = verify_no_collapse(good, rel, eps_collapse=1.0)
+    report = verify_no_collapse(good, part, eps_collapse=1.0)
     assert report.verdict == "pass"
     assert report.pairs_checked == 4
     assert report.min_cross_class_distance == pytest.approx(4.9)
@@ -174,7 +197,7 @@ def test_verify_no_collapse_pass_and_fail():
         labels=np.array([0, 0, 1, 1]),
         source_ids=np.arange(4),
     )
-    report = verify_no_collapse(bad, rel, eps_collapse=1.0)
+    report = verify_no_collapse(bad, part, eps_collapse=1.0)
     assert report.verdict == "fail"
     assert {(i, j) for i, j, _ in report.violations} == {(0, 2), (1, 2)}
 
@@ -183,21 +206,22 @@ def test_verify_no_collapse_vacuous_on_empty_relation():
     embs = EmbeddingSet(
         vectors=np.zeros((3, 2)), labels=np.zeros(3, dtype=np.int64), source_ids=np.arange(3)
     )
-    report = verify_no_collapse(embs, PairRelation.empty(3), eps_collapse=1.0)
+    # one block: R* is empty
+    report = verify_no_collapse(embs, Partition(block_of=np.zeros(3), num_blocks=1), eps_collapse=1.0)
     assert report.verdict == "pass"
     assert report.pairs_checked == 0
     assert np.isnan(report.min_cross_class_distance)
 
 
 def test_verify_no_collapse_eps_monotone():
-    rel = r_star_two_classes()
+    part = two_blocks()
     embs = EmbeddingSet(
         vectors=np.array([[0.0], [0.1], [2.0], [5.1]]),
         labels=np.array([0, 0, 1, 1]),
         source_ids=np.arange(4),
     )
-    small = verify_no_collapse(embs, rel, eps_collapse=0.5)
-    big = verify_no_collapse(embs, rel, eps_collapse=3.0)
+    small = verify_no_collapse(embs, part, eps_collapse=0.5)
+    big = verify_no_collapse(embs, part, eps_collapse=3.0)
     assert len(small.violations) <= len(big.violations)
     assert small.verdict == "pass" and big.verdict == "fail"
 
@@ -205,15 +229,15 @@ def test_verify_no_collapse_eps_monotone():
 def test_verify_requires_source_ids():
     embs = EmbeddingSet(vectors=np.zeros((2, 2)), labels=np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError, match="source_ids"):
-        verify_no_collapse(embs, PairRelation.empty(2), 1.0)
+        verify_no_collapse(embs, Partition(block_of=np.zeros(2), num_blocks=1), 1.0)
 
 
 def test_collapse_report_json():
-    rel = r_star_two_classes()
+    part = two_blocks()
     embs = EmbeddingSet(
         vectors=np.zeros((4, 1)), labels=np.array([0, 0, 1, 1]), source_ids=np.arange(4)
     )
-    report = verify_no_collapse(embs, rel, eps_collapse=1.0)
+    report = verify_no_collapse(embs, part, eps_collapse=1.0)
     import json
 
     payload = json.loads(report.to_json())

@@ -297,6 +297,27 @@ def test_bad_checkpoint_exits_2(tmp_path, capsys, tabular_checkpoint, command, d
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("counting", [("3", "1"), ("20", "1")])
+def test_verify_one_hot_checkpoint_that_does_not_fit_exits_2(tmp_path, capsys, tabular_checkpoint, counting):
+    # the checkpoint encodes the 9 observations of --counting 8 4
+    argv = ["verify", "--checkpoint", str(tabular_checkpoint), "--counting", *counting,
+            "--out-dir", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: checkpoint encodes 9 one-hot observations")
+
+
+def test_verify_reads_the_partition_not_the_fixed_point(tmp_path, capsys, tabular_checkpoint, monkeypatch):
+    def least_fixed_point(*args, **kwargs):
+        raise AssertionError("verify computed R* with least_fixed_point")
+
+    monkeypatch.setattr(cli.bisim, "least_fixed_point", least_fixed_point)
+    code, stdout, _ = run(["verify", "--checkpoint", str(tabular_checkpoint), "--counting", "8", "4",
+                           "--eps-collapse", "1e-9", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert json.loads(stdout)["pairs_checked"] == 36
+
+
 @pytest.mark.parametrize("key", ["num_actions", "reward", "transition"])
 def test_bisim_mdp_missing_key_exits_2(tmp_path, capsys, key):
     path = tmp_path / "mdp.json"
@@ -316,7 +337,7 @@ def collected_dir(tmp_path, capsys):
     return tmp_path / "data"
 
 
-@pytest.mark.parametrize("damage", ["missing", "short-header", "short-payload"])
+@pytest.mark.parametrize("damage", ["missing", "short-header", "short-payload", "trailing"])
 def test_empirical_bisim_bad_dataset_exits_2(tmp_path, capsys, collected_dir, damage):
     raw = (collected_dir / "dataset.bslb").read_bytes()
     bad = tmp_path / "bad.bslb"
@@ -324,6 +345,8 @@ def test_empirical_bisim_bad_dataset_exits_2(tmp_path, capsys, collected_dir, da
         bad.write_bytes(raw[:20])
     elif damage == "short-payload":
         bad.write_bytes(raw[:-1])
+    elif damage == "trailing":
+        bad.write_bytes(raw + bytes(7))
     code, _, err = run(["empirical-bisim", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err.startswith("error: ")
@@ -336,7 +359,7 @@ def _image_checkpoint(tmp_path, capsys, dataset):
     return tmp_path / "train" / "checkpoint.pjpa"
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "no-frames", "few-frames"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "trailing", "no-frames", "few-frames"])
 @pytest.mark.parametrize("command", ["train", "analyze", "verify"])
 def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command, damage):
     dataset = collected_dir / "dataset.bslb"
@@ -346,6 +369,8 @@ def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command,
         dataset = collected_dir / "absent.bslb"
     elif damage == "truncated":
         dataset.write_bytes(dataset.read_bytes()[:40])
+    elif damage == "trailing":
+        dataset.write_bytes(dataset.read_bytes() + bytes(7))
     elif damage == "no-frames":
         (collected_dir / "frames.bsli").unlink()
     else:
@@ -361,6 +386,17 @@ def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command,
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected_dir):
+    dataset = collected_dir / "dataset.bslb"
+    ckpt = _image_checkpoint(tmp_path, capsys, dataset)
+    top = int(cli.load_dataset(str(dataset)).sources.max())
+    assert top >= 2  # --counting needs a target count of at least 1
+    code, _, err = run(["verify", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--counting", str(top - 1), "1",
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: observation id {top} is out of range for an MDP with {top} observations\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -102,9 +102,11 @@ def _collected_files(tmp_path):
 def test_truncated_dataset_raises_value_error(tmp_path_factory, data):
     tmp_path = tmp_path_factory.mktemp("bslb")
     raw, _ = _collected_files(tmp_path)
-    length = data.draw(st.integers(0, len(raw) - 1))
+    # every cut short of the whole file, and the whole file with bytes after the last record
+    cut = st.integers(0, len(raw) - 1).map(lambda length: raw[:length])
+    padded = st.binary(min_size=1, max_size=64).map(lambda tail: raw + tail)
     path = tmp_path / "cut.bslb"
-    path.write_bytes(raw[:length])
+    path.write_bytes(data.draw(st.one_of(cut, padded)))
     with pytest.raises(ValueError):
         load_dataset(str(path))
 

@@ -14,10 +14,11 @@ from bisimlab.bisim import (
     distinguishing_oracle,
     empirical_apply_F,
     partition_refine_with_rounds,
+    partition_to_relation,
 )
 from bisimlab.dataset import TransitionDataset
 from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp
-from bisimlab.relation import PairRelation, write_relation_csv
+from bisimlab.relation import PairRelation, Partition, write_relation_csv
 
 SETTINGS = settings(max_examples=150, deadline=None)
 AUX_VALUES = (0.0, -0.0, 1.0, 2.5, float("nan"))
@@ -119,10 +120,10 @@ def embeddings(draw, integer: bool):
     values = st.integers(-3, 3).map(float) if integer else st.floats(-10, 10, allow_nan=False)
     vectors = np.array(draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
     ids = draw(st.lists(st.integers(0, num_obs - 1), min_size=n, max_size=n))
-    cells = draw(st.lists(st.booleans(), min_size=num_obs * num_obs, max_size=num_obs * num_obs))
-    rel = PairRelation(np.array(cells, dtype=bool).reshape(num_obs, num_obs))
+    block_of = draw(st.lists(st.integers(0, num_obs - 1), min_size=num_obs, max_size=num_obs))
+    part = Partition(block_of=np.array(block_of), num_blocks=max(block_of) + 1)
     embs = EmbeddingSet(vectors=vectors, labels=np.zeros(n, dtype=np.int64), source_ids=np.array(ids, dtype=np.int64))
-    return embs, rel
+    return embs, part
 
 
 def _same_report(got, want):
@@ -139,8 +140,9 @@ def _same_report(got, want):
 def test_verify_no_collapse_matches_loop_exactly(case, eps):
     # integer coordinates make every squared distance an exact integer,
     # so both sides see bit-identical distances, ties at eps included
-    embs, rel = case
-    got, want = verify_no_collapse(embs, rel, eps), loop_oracles.verify_no_collapse(embs, rel, eps)
+    embs, part = case
+    got = verify_no_collapse(embs, part, eps)
+    want = loop_oracles.verify_no_collapse(embs, partition_to_relation(part), eps)
     assert got.to_json() == want.to_json()
     _same_report(got, want)
 
@@ -148,13 +150,13 @@ def test_verify_no_collapse_matches_loop_exactly(case, eps):
 @SETTINGS
 @given(embeddings(integer=False), st.floats(0.0, 20.0))
 def test_verify_no_collapse_matches_loop(case, eps):
-    embs, rel = case
-    want = loop_oracles.verify_no_collapse(embs, rel, eps)
+    embs, part = case
+    want = loop_oracles.verify_no_collapse(embs, partition_to_relation(part), eps)
     # a distance within rounding of eps may land on either side of it
     v = embs.vectors
     dists = np.linalg.norm(v[:, None] - v[None, :], axis=2)[np.triu_indices(len(v), 1)]
     assume(not np.any(np.isclose(dists, eps, rtol=1e-9, atol=0.0)))
-    _same_report(verify_no_collapse(embs, rel, eps), want)
+    _same_report(verify_no_collapse(embs, part, eps), want)
 
 
 @SETTINGS
