@@ -162,13 +162,14 @@ class CollapseReport:
         )
 
 
-def verify_no_collapse(embs: EmbeddingSet, part: Partition, eps_collapse: float) -> CollapseReport:
+def verify_no_collapse(embs: EmbeddingSet, part: Partition, eps_collapse: float | None) -> CollapseReport:
     """Check the executable form of the no-collapse guarantee.
 
     `part` is the largest bisimulation over the observations. Every embedded
     pair whose observations lie in different blocks (distinguishable, hence
-    outside the bisimulation) must sit at l2 distance >= eps_collapse.
-    Pairs (i, j), i < j, are taken in row-major order, and so are the
+    outside the bisimulation) must sit at l2 distance >= eps_collapse; None
+    sets it to 1e-3 of the median pairwise distance, from the same distance
+    matrix. Pairs (i, j), i < j, are taken in row-major order, and so are the
     violations.
     """
     if embs.source_ids is None:
@@ -176,6 +177,8 @@ def verify_no_collapse(embs: EmbeddingSet, part: Partition, eps_collapse: float)
     ids = embs.source_ids
     block = part.block_of[ids]
     d = distances(embs.vectors, embs.vectors)
+    if eps_collapse is None:
+        eps_collapse = 1e-3 * _median_pair_distance(d)
     upper = np.triu(np.ones(d.shape, dtype=bool), 1)
     cross = upper & (block[:, None] != block[None, :])
     within = upper & ~cross
@@ -190,9 +193,16 @@ def verify_no_collapse(embs: EmbeddingSet, part: Partition, eps_collapse: float)
     )
 
 
+def _median_pair_distance(d: np.ndarray) -> float:
+    """Median over the pairs i < j of a square distance matrix."""
+    if len(d) < 2:
+        raise ValueError("need at least 2 embeddings for a median pairwise distance")
+    return float(np.median(d[np.triu_indices(len(d), k=1)]))
+
+
 def median_pairwise_distance(vectors: np.ndarray) -> float:
     v = EmbeddingSet(vectors=vectors, labels=np.zeros(len(vectors), dtype=np.int64)).vectors
-    return float(np.median(distances(v, v)[np.triu_indices(len(v), k=1)]))
+    return _median_pair_distance(distances(v, v))
 
 
 # --- exports ---

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -140,9 +141,12 @@ def _env_config(args) -> CountingEnvConfig:
 def cmd_collect(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = _env_config(args)
-    collected = collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
-                                rng=np.random.default_rng(args.seed))
+    try:
+        config = _env_config(args)
+        collected = collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
+                                    rng=np.random.default_rng(args.seed))
+    except ValueError as exc:
+        return _input_error(exc)
     ds_path, frames_path = out / "dataset.bslb", out / "frames.bsli"
     save_dataset(collected.dataset, str(ds_path))
     save_frame_sidecar(collected.ppm_frames(), str(frames_path))
@@ -182,15 +186,15 @@ def cmd_train(args) -> int:
         overrides["aux_mode"] = args.aux
     if args.no_dyn_loss:
         overrides["dyn_loss_enabled"] = False
-    config = preset_train_config(args.preset, args.seed, **overrides)
-    if args.dataset is not None:
-        env = preset_env_config(args.preset, args.seed)
-        try:
+    try:
+        config = preset_train_config(args.preset, args.seed, **overrides)
+        if args.dataset is not None:
+            env = preset_env_config(args.preset, args.seed)
             data = collected_train_data(_load_collected(args.dataset, env.channels))
-        except (OSError, ValueError) as exc:
-            return _input_error(exc)
-    else:
-        data = preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
+        else:
+            data = preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     try:
         result = train(config, data)
     except DivergenceError as exc:
@@ -217,6 +221,8 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
         source_ids = np.arange(n)
     elif args.dataset is None:
         raise ValueError("image checkpoints need --dataset")
+    elif args.sample_size < 1:
+        raise ValueError("--sample-size must be >= 1")
     else:
         collected = _load_collected(args.dataset, params.config.obs_shape[0])
         rng = np.random.default_rng(args.seed)
@@ -234,14 +240,11 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         params, _ = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        return _input_error(exc)
-    try:
         embs = _embeddings_for_checkpoint(args, params)
+        proj, fractions, _ = analysis.pca_2d(embs)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     dm = analysis.pairwise_distances(embs)
-    proj, fractions, _ = analysis.pca_2d(embs)
     pca_path, dist_path, heat_path = out / "pca.csv", out / "distances.csv", out / "heatmap.ppm"
     analysis.write_pca_csv(proj, embs.labels, str(pca_path))
     analysis.write_distance_csv(dm, str(dist_path))
@@ -270,6 +273,19 @@ def _check_fits_mdp(params, embs: analysis.EmbeddingSet, num_observations: int) 
                          f"for an MDP with {num_observations} observations")
 
 
+def _eps_collapse(value) -> float | None:
+    """None for "auto" (verify_no_collapse then derives it), else a finite number >= 0."""
+    if value == "auto":
+        return None
+    try:
+        eps = float(value)
+    except (TypeError, ValueError):
+        eps = math.nan
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"--eps-collapse must be auto or a finite number >= 0, not {value!r}")
+    return eps
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,19 +294,12 @@ def cmd_verify(args) -> int:
         return EXIT_VALIDATION
     try:
         params, _ = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        return _input_error(exc)
-    try:
         mdp = _load_mdp(args)
         embs = _embeddings_for_checkpoint(args, params)
         _check_fits_mdp(params, embs, mdp.num_observations)
+        report = analysis.verify_no_collapse(embs, bisim.partition_refine(mdp), _eps_collapse(args.eps_collapse))
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    if args.eps_collapse == "auto":
-        eps = 1e-3 * analysis.median_pairwise_distance(embs.vectors)
-    else:
-        eps = float(args.eps_collapse)
-    report = analysis.verify_no_collapse(embs, bisim.partition_refine(mdp), eps)
     report_path = out / "collapse_report.json"
     report_path.write_text(report.to_json())
     _write_manifest(out, {"command": "verify", "checkpoint": args.checkpoint,
@@ -364,15 +373,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_defaults(parser: argparse.ArgumentParser) -> dict:
-    defaults = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                defaults.update(_collect_defaults(sub))
-        elif action.dest != "help":
-            defaults[action.dest] = action.default
-    return defaults
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
+                       args: argparse.Namespace) -> argparse.Namespace:
+    """Parse again with the --config file's keys as the chosen subcommand's
+    defaults, so flags given on the command line win. Keys that name no flag
+    of that subcommand are kept in `config_extras` (train reads its TrainConfig
+    fields there). ValueError on a key that is neither a flag of any
+    subcommand nor a TrainConfig field."""
+    values = json.loads(Path(args.config).read_text())
+    if not isinstance(values, dict):
+        raise ValueError(f"{args.config}: not a JSON object")
+    values = {key.replace("-", "_"): value for key, value in values.items()}
+    (subparsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {a.dest for a in sub._actions if a.dest != "help"} for name, sub in subparsers.items()}
+    known = set().union(*flags.values(), (f.name for f in dataclasses.fields(TrainConfig)))
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
+    own = flags[args.command]
+    for action in subparsers[args.command]._actions:
+        if action.choices and action.dest in values and values[action.dest] not in action.choices:
+            raise ValueError(f"{args.config}: {action.dest} must be one of {', '.join(action.choices)}")
+    subparsers[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
+    args = parser.parse_args(argv)
+    args.config_extras = {k: v for k, v in values.items() if k not in own}
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,15 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.config_extras = {}
     if args.config:
-        flag_defaults = _collect_defaults(parser)
-        for key, value in json.loads(Path(args.config).read_text()).items():
-            attr = key.replace("-", "_")
-            if attr in flag_defaults:
-                # flags given on the command line win over the config file
-                if getattr(args, attr, flag_defaults[attr]) == flag_defaults[attr]:
-                    setattr(args, attr, value)
-            else:
-                args.config_extras[attr] = value
+        try:
+            args = _apply_config_file(parser, argv, args)
+        except (OSError, ValueError) as exc:
+            return _input_error(exc)
     return args.func(args)
 
 

@@ -33,6 +33,8 @@ PALETTE = np.array(
     ]
 )
 
+# steps an episode runs on after its first success
+GRACE_STEPS = 1
 
 
 @dataclass
@@ -40,9 +42,7 @@ class CountingEnvConfig:
     max_count: int = 8
     target_n: int = 4
     image_size: int = 32
-    channels: int = 3
-    grace_steps: int = 1
-    placement_jitter: int | None = None  # None picks the largest offset that fits the cell
+    channels: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -52,10 +52,6 @@ class CountingEnvConfig:
             raise ValueError("image_size must be >= 8")
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
-        if self.placement_jitter is not None and not (
-            0 <= self.placement_jitter <= self.object_size
-        ):
-            raise ValueError("placement_jitter must be in [0, object_size]")
 
     @property
     def object_size(self) -> int:
@@ -122,19 +118,15 @@ def render(
     mask = shape_mask(shape, obj)
     min_area = min(int(shape_mask(name, obj).sum()) for name in SHAPES)
     intensity = min_area / int(mask.sum())
-    jitter = config.placement_jitter
-    if jitter is None:
-        jitter = (cell - obj) // 2 + 1
+    jitter = (cell - obj) // 2 + 1  # an offset that keeps every object inside its cell
     if count <= num_cells:
         cells = rng.choice(num_cells, size=count, replace=False)
     else:
         cells = rng.integers(0, num_cells, size=count)
     for c in cells:
         cy, cx = divmod(int(c), per_side)
-        y, x = cy * cell, cx * cell
-        if jitter > 0:
-            y += int(rng.integers(0, jitter + 1))
-            x += int(rng.integers(0, jitter + 1))
+        y = cy * cell + int(rng.integers(0, jitter + 1))
+        x = cx * cell + int(rng.integers(0, jitter + 1))
         region = img[:, y : y + obj, x : x + obj]
         region[:, mask] = color[:, None] * intensity
     if config.channels == 1:
@@ -166,7 +158,7 @@ def env_step(state: EpisodeState, action: float) -> tuple[Observation, float, bo
         state.steps_since_success += 1
     if reward == 1.0 and not state.succeeded:
         state.succeeded = True
-    done = state.steps_since_success >= config.grace_steps
+    done = state.steps_since_success >= GRACE_STEPS
     obs = Observation(
         pixels=render(state.count, state.shape, state.color, config, state.rng),
         count=state.count,

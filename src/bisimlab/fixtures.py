@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from bisimlab.mdp import DeterministicMDP
-from bisimlab.nn import Linear, ModelConfig, ModelParams, Param
+from bisimlab.nn import ModelConfig, ModelParams, param_shapes
 
 
 def perfect_fit_params(mdp: DeterministicMDP) -> ModelParams:
@@ -29,36 +29,28 @@ def perfect_fit_params(mdp: DeterministicMDP) -> ModelParams:
         aux_hidden=n,
         decoder_hidden=(),
     )
-    encoder = [Linear(Param(np.eye(n)), Param(np.zeros(n)))]
-
-    # hidden unit (k, a) fires iff z = e_k and action one-hot = e_a
+    # hidden unit u = k * na + a fires iff z = e_k and the action one-hot is e_a
+    units = np.arange(n * na)
+    k, a = units // na, units % na
     W0 = np.zeros((n + na, n * na))
-    for k in range(n):
-        for a in range(na):
-            W0[k, k * na + a] = 1.0
-            W0[n + a, k * na + a] = 1.0
-    b0 = -np.ones(n * na)
+    W0[k, units] = 1.0
+    W0[n + a, units] = 1.0
     W1 = np.zeros((n * na, n))
-    for k in range(n):
-        for a in range(na):
-            W1[k * na + a, mdp.transition[k, a]] = 1.0
-    dynamics = [Linear(Param(W0), Param(b0)), Linear(Param(W1), Param(np.zeros(n)))]
-
-    # two identity ReLU layers (one-hot latents are nonnegative), then table lookup
+    W1[units, mdp.transition[k, a]] = 1.0
     eye = np.eye(n)
-    aux_head = [
-        Linear(Param(eye), Param(np.zeros(n))),
-        Linear(Param(eye), Param(np.zeros(n))),
-        Linear(Param(mdp.aux), Param(np.zeros(d_p))),
-    ]
-    decoder_probe = [Linear(Param(np.zeros((n, n))), Param(np.zeros(n)))]
-    return ModelParams(
-        config=config,
-        encoder=encoder,
-        dynamics=dynamics,
-        aux_head=aux_head,
-        decoder_probe=decoder_probe,
-    )
+    # every bias and the decoder probe are zero, except the dynamics' first bias
+    arrays = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
+    arrays.update({
+        "encoder.0.W": eye,
+        "dynamics.0.W": W0,
+        "dynamics.0.b": -np.ones(n * na),
+        "dynamics.1.W": W1,
+        # two identity ReLU layers (one-hot latents are nonnegative), then table lookup
+        "aux_head.0.W": eye,
+        "aux_head.1.W": eye,
+        "aux_head.2.W": mdp.aux,
+    })
+    return ModelParams.from_arrays(config, arrays)
 
 
 def one_hot_observations(mdp: DeterministicMDP) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Encoder, latent dynamics, auxiliary head, and decoder probe.
 
-All components are ReLU MLPs. Every weight and bias is a view into one flat
-float64 buffer owned by ModelParams, laid out encoder, dynamics, aux head,
-decoder probe, so copying the model or taking an Adam step is one pass over
-one array. `joint_loss` is the forward pass: it keeps each layer's input and
-pre-activation, and `loss_and_grads` runs the backward over them. The decoder
-probe reconstructs observations from detached latents, so its loss never
-reaches the encoder.
+All components are ReLU MLPs. A model is its ModelConfig plus one flat float64
+buffer: `param_shapes(config)` is the only description of the layout
+(encoder, dynamics, aux head, decoder probe; per layer W then b), and
+ModelParams makes every weight and bias a view into the buffer, so copying the
+model or taking an Adam step is one pass over one array. Gradients are a
+buffer laid out the same way. `joint_loss` is the forward pass: it keeps each
+layer's input and pre-activation, and `loss_and_grads` runs the backward over
+them. The decoder probe reconstructs observations from detached latents, so
+its loss never reaches the encoder.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,57 +56,62 @@ class Linear:
     b: Param
 
 
-def _init_linear(fan_in: int, fan_out: int, rng: np.random.Generator) -> Linear:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    W = Param(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    b = Param(np.zeros(fan_out))
-    return Linear(W, b)
-
-
-def _mlp(dims: list[int], rng: np.random.Generator) -> list[Linear]:
-    return [_init_linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-
-
-class Gradients(dict):
-    """{parameter name: gradient}, each a view into `flat`, which is laid out
-    like ModelParams.flat."""
-
-    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
-        super().__init__(views)
-        self.flat = flat
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """name -> shape of every parameter of a model with this config, in the
+    order of the flat buffer and of the checkpoint: the components in
+    COMPONENTS order, and within each its layers' W then b."""
+    d, z = config.obs_dim, config.latent_dim
+    widths = {
+        "encoder": [d, *config.encoder_hidden, z],
+        "dynamics": [z + config.num_actions, config.dynamics_hidden, z],
+        "aux_head": [z, config.aux_hidden, config.aux_hidden, config.aux_dim],
+        "decoder_probe": [z, *config.decoder_hidden, d],
+    }
+    shapes = {}
+    for comp, dims in widths.items():
+        for k in range(len(dims) - 1):
+            shapes[f"{comp}.{k}.W"] = (dims[k], dims[k + 1])
+            shapes[f"{comp}.{k}.b"] = (dims[k + 1],)
+    return shapes
 
 
 @dataclass
 class ModelParams:
-    """The four MLPs. Construction copies every layer's arrays into `flat`
-    (or, when `flat` is given, takes that buffer as the values) and makes each
-    `.data` a view into it."""
+    """The four MLPs of `config`. `flat` holds every weight and bias, laid out
+    as `param_shapes(config)` lists them, and each layer's `.data` is a view
+    into it."""
 
     config: ModelConfig
-    encoder: list[Linear]
-    dynamics: list[Linear]
-    aux_head: list[Linear]
-    decoder_probe: list[Linear]
-    flat: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray = field(repr=False)
+    encoder: list[Linear] = field(init=False, repr=False)
+    dynamics: list[Linear] = field(init=False, repr=False)
+    aux_head: list[Linear] = field(init=False, repr=False)
+    decoder_probe: list[Linear] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        named = self.named_parameters()
-        self._layout = []  # (name, start, stop, shape), in named_parameters() order
+        self._layout = []  # (name, start, stop, shape), in param_shapes order
         stop = 0
-        for name, p in named:
-            shape = np.shape(p.data)
-            self._layout.append((name, stop, stop + int(np.prod(shape)), shape))
-            stop = self._layout[-1][2]
+        for name, shape in param_shapes(self.config).items():
+            start, stop = stop, stop + math.prod(shape)
+            self._layout.append((name, start, stop, shape))
+        if self.flat.shape != (stop,) or self.flat.dtype != np.float64:
+            raise ValueError(f"flat buffer must be float64 of shape ({stop},)")
+        views = self.views(self.flat)
         self._segments = {}
         for comp in COMPONENTS:
             spans = [(start, end) for name, start, end, _ in self._layout if name.startswith(comp + ".")]
             self._segments[comp] = slice(spans[0][0], spans[-1][1])
-        if self.flat is None:
-            self.flat = np.concatenate([np.asarray(p.data, dtype=np.float64).ravel() for _, p in named])
-        if self.flat.shape != (stop,) or self.flat.dtype != np.float64:
-            raise ValueError(f"flat buffer must be float64 of shape ({stop},)")
-        for (_, p), view in zip(named, self.views(self.flat).values()):
-            p.data = view
+            setattr(self, comp, [Linear(Param(views[f"{comp}.{k}.W"]), Param(views[f"{comp}.{k}.b"]))
+                                 for k in range(len(spans) // 2)])
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """A model holding a copy of `arrays`; ValueError unless their names
+        and shapes are exactly those of `config`."""
+        shapes = param_shapes(config)
+        if {name: np.shape(a) for name, a in arrays.items()} != shapes:
+            raise ValueError("tensors do not match the model config")
+        return cls(config, np.concatenate([np.asarray(arrays[name], dtype=np.float64).ravel() for name in shapes]))
 
     def named_parameters(self) -> list[tuple[str, Param]]:
         out = []
@@ -120,50 +129,38 @@ class ModelParams:
         """Where one component's parameters sit in `flat`."""
         return self._segments[component]
 
-    def flatten(self, named: dict[str, np.ndarray]) -> np.ndarray:
-        """One array per parameter name -> a buffer laid out like `flat`."""
-        if isinstance(named, Gradients) and named.flat.shape == self.flat.shape:
-            return named.flat
-        return np.concatenate([np.asarray(named[name], dtype=np.float64).ravel() for name, *_ in self._layout])
-
     def copy(self) -> "ModelParams":
-        def shells(layers):
-            return [Linear(Param(l.W.data), Param(l.b.data)) for l in layers]
-
-        return ModelParams(
-            config=self.config,
-            encoder=shells(self.encoder),
-            dynamics=shells(self.dynamics),
-            aux_head=shells(self.aux_head),
-            decoder_probe=shells(self.decoder_probe),
-            flat=self.flat.copy(),
-        )
+        return ModelParams(self.config, self.flat.copy())
 
 
-def _layer_dims(config: ModelConfig) -> dict[str, list[int]]:
-    d = config.obs_dim
-    z = config.latent_dim
-    return {
-        "encoder": [d, *config.encoder_hidden, z],
-        "dynamics": [z + config.num_actions, config.dynamics_hidden, z],
-        "aux_head": [z, config.aux_hidden, config.aux_hidden, config.aux_dim],
-        "decoder_probe": [z, *config.decoder_hidden, d],
-    }
+class Gradients(Mapping):
+    """{parameter name: gradient}, read-only; each gradient is a view into
+    `flat`, which is laid out like its model's `flat`."""
 
+    def __init__(self, params: ModelParams, flat: np.ndarray):
+        self.flat = flat
+        self._views = params.views(flat)
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """name -> shape of every parameter of a model with this config."""
-    shapes = {}
-    for comp, dims in _layer_dims(config).items():
-        for k in range(len(dims) - 1):
-            shapes[f"{comp}.{k}.W"] = (dims[k], dims[k + 1])
-            shapes[f"{comp}.{k}.b"] = (dims[k + 1],)
-    return shapes
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    dims = _layer_dims(config)
-    return ModelParams(config=config, **{comp: _mlp(dims[comp], rng) for comp in COMPONENTS})
+    """Glorot-uniform weights, drawn layer by layer in param_shapes order, and zero biases."""
+    arrays = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".W"):
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return ModelParams.from_arrays(config, arrays)
 
 
 def _run_mlp(layers: list[Linear], x: np.ndarray, cache: list | None) -> np.ndarray:
@@ -351,7 +348,7 @@ def loss_and_grads(
     the decoder probe's detached input."""
     report, fwd = joint_loss(params, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step)
     flat = np.empty_like(params.flat)
-    grads = Gradients(flat, params.views(flat))
+    grads = Gradients(params, flat)
 
     def slots(comp: str) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(grads[f"{comp}.{k}.W"], grads[f"{comp}.{k}.b"]) for k in range(len(getattr(params, comp)))]

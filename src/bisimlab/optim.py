@@ -1,8 +1,9 @@
 """Adam with per-component learning-rate groups (scaled encoder rate).
 
-The moments live in flat buffers laid out like ModelParams.flat, so a step is
-one run of in-place operations over the whole model, taken in blocks that
-keep the scratch arrays in cache.
+The gradient (`Gradients.flat`) and both moments are flat buffers laid out
+like ModelParams.flat, so a step is one run of in-place operations over the
+whole model, taken in blocks that keep the scratch arrays in cache. The
+encoder comes first in that layout, so its scaled rate covers one prefix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bisimlab.nn import ModelParams
+from bisimlab.nn import Gradients, ModelParams
 
 # elements per pass of the update
 BLOCK = 1 << 15
@@ -19,10 +20,8 @@ BLOCK = 1 << 15
 
 @dataclass
 class AdamState:
-    """`m` and `v` map each parameter name to a view into `m_flat`/`v_flat`."""
+    """The step count and the first and second moments, laid out like ModelParams.flat."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
     m_flat: np.ndarray | None = field(default=None, repr=False)
     v_flat: np.ndarray | None = field(default=None, repr=False)
@@ -30,7 +29,7 @@ class AdamState:
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: Gradients,
     state: AdamState,
     base_lr: float = 3e-4,
     encoder_lr_scale: float = 0.3,
@@ -38,17 +37,13 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update in place; encoder group uses the scaled rate.
-
-    `grads` must hold every parameter.
-    """
+    """One bias-corrected Adam update in place; encoder group uses the scaled rate."""
     if state.m_flat is None:
         state.m_flat = np.zeros_like(params.flat)
         state.v_flat = np.zeros_like(params.flat)
-        state.m, state.v = params.views(state.m_flat), params.views(state.v_flat)
     state.t += 1
     t = state.t
-    p, g, m, v = params.flat, params.flatten(grads), state.m_flat, state.v_flat
+    p, g, m, v = params.flat, grads.flat, state.m_flat, state.v_flat
     c1, c2 = 1.0 - beta1, 1.0 - beta2
     bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
     scratch = np.empty((2, min(BLOCK, p.size)))

@@ -10,25 +10,14 @@ import dataclasses
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from bisimlab.analysis import nearest_centroid_accuracy
 from bisimlab.counting_env import CollectedData
 from bisimlab.mdp import DeterministicMDP
-from bisimlab.nn import (
-    COMPONENTS,
-    Batch,
-    Linear,
-    ModelConfig,
-    ModelParams,
-    Param,
-    encode,
-    init_params,
-    loss_and_grads,
-    param_shapes,
-)
+from bisimlab.nn import Batch, ModelConfig, ModelParams, encode, init_params, loss_and_grads
 from bisimlab.optim import AdamState, adam_step
 
 CHECKPOINT_MAGIC = b"PJPA"
@@ -66,6 +55,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.c_p < 0:
             raise ValueError("c_p must be >= 0")
+        for name in ("batch_size", "steps", "replay_capacity", "eval_every", "report_every", "eval_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.aux_mode not in ("reward", "none") and self.random_aux_dim() is None:
+            raise ValueError(f"aux_mode must be reward, none or random:<dim> with dim >= 1, got {self.aux_mode!r}")
         if not self.dyn_loss_enabled and self.aux_mode == "none":
             raise ValueError("at least one of the dynamics loss and the auxiliary loss must be active")
 
@@ -74,9 +68,8 @@ class TrainConfig:
         return self.aux_mode != "none"
 
     def random_aux_dim(self) -> int | None:
-        if self.aux_mode.startswith("random:"):
-            return int(self.aux_mode.split(":", 1)[1])
-        return None
+        kind, _, dim = str(self.aux_mode).partition(":")
+        return int(dim) if kind == "random" and dim.isdecimal() and int(dim) > 0 else None
 
 
 @dataclass
@@ -184,12 +177,13 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     """
     data = data.truncated(config.replay_capacity)
     rng = np.random.default_rng(config.seed)
+    aux_targets = resolve_aux_targets(config, data)
     model_config = ModelConfig(
         obs_kind=data.obs_kind,
         obs_shape=data.obs_shape,
         num_actions=data.num_actions,
         latent_dim=config.latent_dim,
-        aux_dim=1 if not config.aux_enabled else resolve_aux_targets(config, data).shape[1],
+        aux_dim=aux_targets.shape[1],
         encoder_hidden=config.encoder_hidden,
         dynamics_hidden=config.dynamics_hidden,
         aux_hidden=config.aux_hidden,
@@ -197,7 +191,6 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     )
     params = init_params(model_config, rng)
     state = AdamState()
-    aux_targets = resolve_aux_targets(config, data)
     eval_idx = rng.integers(0, len(data), size=min(config.eval_size, max(len(data), 1)))
     eval_obs = data.obs[eval_idx]
     eval_labels = data.labels[eval_idx]
@@ -310,49 +303,22 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
     try:
         mc = config_echo["model_config"]
-        model_config = ModelConfig(
-            obs_kind=mc["obs_kind"],
-            obs_shape=tuple(mc["obs_shape"]),
-            num_actions=mc["num_actions"],
-            latent_dim=mc["latent_dim"],
-            aux_dim=mc["aux_dim"],
-            encoder_hidden=tuple(mc["encoder_hidden"]),
-            dynamics_hidden=mc["dynamics_hidden"],
-            aux_hidden=mc["aux_hidden"],
-            decoder_hidden=tuple(mc["decoder_hidden"]),
-        )
-        fits = {name: t.shape for name, t in tensors.items()} == param_shapes(model_config)
+        if set(mc) != fields:
+            raise KeyError(f"model_config keys {sorted(mc)}, expected {sorted(fields)}")
+        model_config = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in mc.items()})
+        return ModelParams.from_arrays(model_config, tensors), config_echo
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: bad model config: {exc!r}") from exc
-    if not fits:
-        raise ValueError(f"{path}: tensors do not match the model config")
-    layers: dict[str, list[Linear]] = {comp: [] for comp in COMPONENTS}
-    for name in param_shapes(model_config):
-        comp, k, kind = name.split(".")
-        if kind == "W":
-            layers[comp].append(Linear(Param(tensors[name]), Param(tensors[f"{comp}.{k}.b"])))
-    params = ModelParams(config=model_config, **layers)
-    return params, config_echo
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _json_fields(config) -> dict:
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(config).items()}
 
 
 def model_config_echo(params: ModelParams, train_config: TrainConfig) -> dict:
-    mc = params.config
-    return {
-        "model_config": {
-            "obs_kind": mc.obs_kind,
-            "obs_shape": list(mc.obs_shape),
-            "num_actions": mc.num_actions,
-            "latent_dim": mc.latent_dim,
-            "aux_dim": mc.aux_dim,
-            "encoder_hidden": list(mc.encoder_hidden),
-            "dynamics_hidden": mc.dynamics_hidden,
-            "aux_hidden": mc.aux_hidden,
-            "decoder_hidden": list(mc.decoder_hidden),
-        },
-        "train_config": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in dataclasses.asdict(train_config).items()
-        },
-    }
+    return {"model_config": _json_fields(params.config), "train_config": _json_fields(train_config)}

@@ -3,10 +3,13 @@ in bisimlab.nn, kept as the reference the explicit engine must match bit for
 bit: the Tensor type, the joint loss built on it, and the per-array Adam step.
 
 `loss_and_grads` and `adam_step` take and update a bisimlab.nn.ModelParams
-in place, like the functions they stand in for.
+in place, like the functions they stand in for. The tape's Adam keeps its
+moments per parameter name, in its own AdamState.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,10 +244,17 @@ def loss_and_grads(
     return report, grads
 
 
+@dataclass
+class AdamState:
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    t: int = 0
+
+
 def adam_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
-    state,
+    state: AdamState,
     base_lr: float = 3e-4,
     encoder_lr_scale: float = 0.3,
     beta1: float = 0.9,

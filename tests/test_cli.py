@@ -408,3 +408,83 @@ def test_image_checkpoint_without_dataset_exits_2(tmp_path, capsys, collected_di
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err == "error: image checkpoints need --dataset\n"
+
+
+def test_config_file_sets_the_chosen_subcommand_defaults(tmp_path, capsys):
+    # collect's own default is 6000; train's --steps default (None) must not hide the file's value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"steps": 50}))
+    code, stdout, _ = run(["--config", str(cfg), "collect", "--image-size", "8", "--out-dir", str(tmp_path / "c")],
+                          capsys)
+    assert code == 0
+    assert json.loads(stdout)["records"] == 50
+
+
+def test_explicit_flag_equal_to_its_default_beats_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    outs = {}
+    for name, prefix in (("file", ["--config", str(cfg)]), ("plain", [])):
+        out = tmp_path / name
+        code, _, _ = run([*prefix, "train", "--seed", "0", "--steps", "20", "--out-dir", str(out)], capsys)
+        assert code == 0
+        outs[name] = (out / "checkpoint.pjpa").read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 0
+    assert outs["file"] == outs["plain"]
+
+
+def test_config_file_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"stpes": 20}))
+    code, _, err = run(["--config", str(cfg), "train", "--steps", "5", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: {cfg}: unknown keys stpes\n"
+    assert not (tmp_path / "out" / "checkpoint.pjpa").exists()
+
+
+@pytest.mark.parametrize("key", ["batch_size", "eval_every", "report_every", "eval_size", "replay_capacity"])
+def test_config_file_non_positive_train_count_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "z.json"
+    cfg.write_text(json.dumps({key: 0}))
+    code, _, err = run(["--config", str(cfg), "train", "--steps", "3", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: {key} must be >= 1\n"
+
+
+def test_config_file_value_outside_the_choices_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({"engine": "bogus"}))
+    code, _, err = run(["--config", str(cfg), "bisim", "--counting", "2", "1", "--out-dir", str(tmp_path / "out")],
+                       capsys)
+    assert code == 2
+    assert err == f"error: {cfg}: engine must be one of naive, refine\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--aux", "bogus"],
+    ["train", "--aux", "random:0"],
+    ["train", "--aux", "random:x"],
+    ["train", "--c-p", "-1"],
+    ["train", "--steps", "0"],
+    ["collect", "--steps", "0"],
+    ["collect", "--target-n", "9"],
+    ["collect", "--image-size", "4"],
+    ["verify", "--eps-collapse", "abc"],
+    ["verify", "--eps-collapse", "-1"],
+    ["verify", "--sample-size", "1"],
+    ["verify", "--sample-size", "0"],
+    ["analyze", "--sample-size", "1"],
+    ["analyze", "--sample-size", "2"],
+])
+def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
+    command = argv[0]
+    if command in ("analyze", "verify"):
+        dataset = collected_dir / "dataset.bslb"
+        argv = [*argv, "--checkpoint", str(_image_checkpoint(tmp_path, capsys, dataset)), "--dataset", str(dataset)]
+        if command == "verify":
+            argv += ["--counting", "8", "4"]
+    elif command == "train" and "--steps" not in argv:
+        argv = [*argv, "--steps", "3"]
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

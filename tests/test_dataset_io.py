@@ -76,7 +76,7 @@ def test_ppm_roundtrip_gray():
 
 
 def test_sidecar_roundtrip(tmp_path):
-    config = CountingEnvConfig(image_size=16, seed=0)
+    config = CountingEnvConfig(image_size=16, channels=3, seed=0)
     data = collect_dataset(config, steps=10, rng=np.random.default_rng(0))
     path = str(tmp_path / "frames.bsli")
     frames = data.ppm_frames()

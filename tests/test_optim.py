@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bisimlab.nn import ModelConfig, init_params
+from bisimlab.nn import Gradients, ModelConfig, init_params
 from bisimlab.optim import AdamState, adam_step
 
 
@@ -12,10 +12,14 @@ def make_params():
     return init_params(cfg, np.random.default_rng(0))
 
 
+def constant_grads(params, value):
+    return Gradients(params, np.full_like(params.flat, value))
+
+
 def test_zero_gradient_leaves_params_unchanged():
     params = make_params()
     before = {n: p.data.copy() for n, p in params.named_parameters()}
-    grads = {n: np.zeros_like(p.data) for n, p in params.named_parameters()}
+    grads = constant_grads(params, 0.0)
     state = AdamState()
     adam_step(params, grads, state)
     for n, p in params.named_parameters():
@@ -27,7 +31,7 @@ def test_single_step_closed_form():
     params = make_params()
     lr, eps = 3e-4, 1e-8
     before = {n: p.data.copy() for n, p in params.named_parameters()}
-    grads = {n: np.ones_like(p.data) for n, p in params.named_parameters()}
+    grads = constant_grads(params, 1.0)
     adam_step(params, grads, AdamState(), base_lr=lr, encoder_lr_scale=1.0, eps=eps)
     expected_delta = -lr / (1.0 + eps)
     for n, p in params.named_parameters():
@@ -37,7 +41,7 @@ def test_single_step_closed_form():
 def test_encoder_rate_scaling():
     params = make_params()
     before = {n: p.data.copy() for n, p in params.named_parameters()}
-    grads = {n: np.ones_like(p.data) for n, p in params.named_parameters()}
+    grads = constant_grads(params, 1.0)
     adam_step(params, grads, AdamState(), base_lr=1e-3, encoder_lr_scale=0.3)
     deltas = {n: p.data - before[n] for n, p in params.named_parameters()}
     enc = deltas["encoder.0.W"].reshape(-1)[0]
@@ -47,13 +51,12 @@ def test_encoder_rate_scaling():
 
 def test_moments_decay_under_zero_grad():
     params = make_params()
-    grads = {n: np.ones_like(p.data) for n, p in params.named_parameters()}
+    grads = constant_grads(params, 1.0)
     state = AdamState()
     adam_step(params, grads, state)
-    m_after_one = state.m["encoder.0.W"].copy()
-    zero = {n: np.zeros_like(p.data) for n, p in params.named_parameters()}
-    adam_step(params, zero, state)
-    assert np.allclose(state.m["encoder.0.W"], 0.9 * m_after_one)
+    m_after_one = state.m_flat.copy()
+    adam_step(params, constant_grads(params, 0.0), state)
+    assert np.allclose(state.m_flat, 0.9 * m_after_one)
 
 
 def test_convergence_on_quadratic():
@@ -62,8 +65,8 @@ def test_convergence_on_quadratic():
     state = AdamState()
     target = np.ones_like(params.encoder[0].W.data)
     for _ in range(3000):
-        g = {n: np.zeros_like(p.data) for n, p in params.named_parameters()}
-        g["encoder.0.W"] = 2.0 * (params.encoder[0].W.data - target)
+        g = constant_grads(params, 0.0)
+        g["encoder.0.W"][...] = 2.0 * (params.encoder[0].W.data - target)
         adam_step(params, g, state, base_lr=1e-2, encoder_lr_scale=1.0)
     assert np.allclose(params.encoder[0].W.data, target, atol=1e-4)
 
@@ -71,7 +74,8 @@ def test_convergence_on_quadratic():
 def test_moments_are_views_into_flat_buffers():
     params = make_params()
     state = AdamState()
-    adam_step(params, {n: np.ones_like(p.data) for n, p in params.named_parameters()}, state)
-    assert list(state.m) == [n for n, _ in params.named_parameters()]
-    assert all(np.shares_memory(state.m[n], state.m_flat) for n in state.m)
-    assert all(np.shares_memory(state.v[n], state.v_flat) for n in state.v)
+    adam_step(params, constant_grads(params, 1.0), state)
+    m = params.views(state.m_flat)
+    assert list(m) == [n for n, _ in params.named_parameters()]
+    assert all(np.shares_memory(a, state.m_flat) for a in m.values())
+    assert state.v_flat.shape == params.flat.shape
