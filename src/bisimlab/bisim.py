@@ -11,16 +11,21 @@ Three independent routes to the same object:
     graph for a shortest distinguishing action sequence.
 
 Plus the dataset-restricted operator F_D, which consults only co-observed
-actions and sources that actually appear in the data.
+actions and sources that actually appear in the data. empirical_lfp takes
+its least fixed point partition first: the refinement loop of
+partition_refine (_refine) splits the m sources, plus one sink state for
+every missing action and unseen successor, into k blocks whose members
+share their aux label, their usable actions and their successors' blocks.
+Every F_D iterate is then a union of block pairs, so F_D is swept over the
+k x k block relation and the result expanded to the sources, bit for bit
+the sweep over all m x m pairs (kept as the oracle in the tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from bisimlab.dataset import TransitionDataset
+from bisimlab.dataset import CoObservedIndex, TransitionDataset
 from bisimlab.mdp import DeterministicMDP
 from bisimlab.relation import PairRelation, Partition, canonicalize_blocks
 
@@ -136,15 +141,22 @@ def partition_refine_with_rounds(
     block forms one group of its own. An observation changes id only into a
     block at most half its old one's size, so the work is O(|A| n log n).
     """
-    n, na = mdp.num_observations, mdp.num_actions
-    block_of = aux_labels(mdp.aux, aux_tol).tolist()
+    block_of, rounds = _refine(aux_labels(mdp.aux, aux_tol), mdp.transition)
+    return canonicalize_blocks(block_of), rounds
+
+
+def _refine(labels: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, int]:
+    """The refinement loop of partition_refine_with_rounds, from initial labels
+    0..L-1 over a successor table [n, |A|]: raw block ids and the round count."""
+    n, na = transition.shape
+    block_of = labels.tolist()
     members: dict[int, set[int]] = {}
     for o, b in enumerate(block_of):
         members.setdefault(b, set()).add(o)
     next_id = len(members)
-    succ = mdp.transition.tolist()
+    succ = transition.tolist()
     # inverse transitions in CSR form: the sources of t are src[ptr[t]:ptr[t + 1]]
-    flat = mdp.transition.reshape(-1)
+    flat = transition.reshape(-1)
     src = (np.argsort(flat, kind="stable") // na).tolist()
     ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))]).tolist()
     touched = range(n)  # the first round compares every observation
@@ -177,7 +189,7 @@ def partition_refine_with_rounds(
         if not changed:
             break
         touched = {s for t in changed for s in src[ptr[t]:ptr[t + 1]]}
-    return canonicalize_blocks(np.array(block_of, dtype=np.int64)), rounds
+    return np.array(block_of, dtype=np.int64), rounds
 
 
 def partition_to_relation(part: Partition) -> PairRelation:
@@ -213,41 +225,11 @@ def distinguishing_oracle(
 # --- empirical path (dataset-restricted operator) ---
 
 
-@dataclass
-class CoObservedIndex:
-    """Sources appearing in a dataset, plus per-action coverage and successors.
-
-    obs_ids maps dense source index -> original observation id. has_action[k, a]
-    says source k has a record for action a; succ_dense[k, a] is the successor's
-    dense index, or -1 when the successor never appears as a source.
-    """
-
-    obs_ids: np.ndarray  # int [m]
-    aux: np.ndarray  # float [m, d_p]
-    has_action: np.ndarray  # bool [m, |A|]
-    succ_dense: np.ndarray  # int [m, |A|], -1 when successor not a source
-
-    @property
-    def num_sources(self) -> int:
-        return self.obs_ids.shape[0]
-
-
 def build_co_observed_index(ds: TransitionDataset) -> CoObservedIndex:
-    errors = ds.validate()
+    errors, index = ds.scan()
     if errors:
         raise ValueError("inconsistent dataset: " + "; ".join(errors))
-    # the unique values come sorted; their first index in reverse is each source's last record
-    obs_ids, from_end = np.unique(ds.sources[::-1], return_index=True)
-    m = obs_ids.shape[0]
-    k = np.searchsorted(obs_ids, ds.sources)
-    t = np.minimum(np.searchsorted(obs_ids, ds.successors), max(m - 1, 0))
-    has_action = np.zeros((m, ds.num_actions), dtype=bool)
-    has_action[k, ds.actions] = True
-    # validated determinism: repeated (source, action) records share a successor
-    succ_dense = np.full((m, ds.num_actions), -1, dtype=np.int64)
-    succ_dense[k, ds.actions] = np.where(obs_ids[t] == ds.successors, t, -1)
-    aux = ds.aux[len(ds) - 1 - from_end]
-    return CoObservedIndex(obs_ids=obs_ids, aux=aux, has_action=has_action, succ_dense=succ_dense)
+    return index
 
 
 def empirical_apply_F(
@@ -280,12 +262,35 @@ def empirical_lfp(
     dense source indices. B*_D is the complement restricted to O_D x O_D and
     is returned as a relation (it need not be transitive under partial
     coverage).
+
+    Partition first: _refine splits the sources, seeded with their aux
+    labels, by the blocks of their successors, with one sink state standing
+    for every missing action and every successor that is never a source.
+    The sink has a label of its own and loops to itself, so it is a block
+    of its own. Members of a block share their label, the actions through
+    which F_D can reach a source, and those sources' blocks, so every F_D
+    iterate, R*_D included, is a union of block pairs. F_D therefore runs on
+    the k blocks, with each block's label as its aux (compared at tol 0,
+    since the labels already carry the tolerance's grouping), and the k x k
+    result is expanded to the m sources. Under full coverage k is the number
+    of bisimulation blocks; at worst, k = m.
     """
     index = build_co_observed_index(ds)
-    rel = PairRelation.empty(index.num_sources)
+    m, na = index.has_action.shape
+    labels = aux_labels(index.aux, aux_tol)
+    sink = np.full((1, na), m)
+    succ = np.vstack([np.where(index.succ_dense < 0, m, index.succ_dense), sink])
+    block_of, _ = _refine(np.append(labels, labels.max(initial=-1) + 1), succ)
+    # the sink's block holds the sink alone, so the sources' blocks number 0..k-1
+    _, rep, block_of = np.unique(block_of[:m], return_index=True, return_inverse=True)
+    succ_block = np.append(block_of, -1)[succ[rep]]
+    blocks = CoObservedIndex(obs_ids=index.obs_ids[rep], aux=labels[rep].astype(np.float64).reshape(-1, 1),
+                             has_action=succ_block >= 0, succ_dense=succ_block)
+    rel = PairRelation.empty(rep.shape[0])
     while True:
-        nxt = empirical_apply_F(index, rel, aux_tol)
+        nxt = empirical_apply_F(blocks, rel)
         if nxt == rel:
             break
         rel = nxt
-    return rel, PairRelation(~rel.bits), index
+    bits = rel.bits[block_of][:, block_of]
+    return PairRelation(bits), PairRelation(~bits), index

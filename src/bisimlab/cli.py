@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -378,8 +379,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
     """Parse again with the --config file's keys as the chosen subcommand's
     defaults, so flags given on the command line win. Keys that name no flag
     of that subcommand are kept in `config_extras` (train reads its TrainConfig
-    fields there). ValueError on a key that is neither a flag of any
-    subcommand nor a TrainConfig field."""
+    fields there, lists as tuples). ValueError on a key that is neither a flag
+    of any subcommand nor a TrainConfig field, and on a value of the wrong
+    JSON type for its flag or TrainConfig field."""
     values = json.loads(Path(args.config).read_text())
     if not isinstance(values, dict):
         raise ValueError(f"{args.config}: not a JSON object")
@@ -392,12 +394,66 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
         raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
     own = flags[args.command]
     for action in subparsers[args.command]._actions:
-        if action.choices and action.dest in values and values[action.dest] not in action.choices:
+        if action.dest not in values:
+            continue
+        if action.choices and values[action.dest] not in action.choices:
             raise ValueError(f"{args.config}: {action.dest} must be one of {', '.join(action.choices)}")
+        _check_flag(args.config, action, values[action.dest])
     subparsers[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
     args = parser.parse_args(argv)
-    args.config_extras = {k: v for k, v in values.items() if k not in own}
+    types = typing.get_type_hints(TrainConfig)
+    args.config_extras = {k: _typed(args.config, k, v, types.get(k)) for k, v in values.items() if k not in own}
     return args
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no number
+
+
+# a flag's or TrainConfig field's type -> what its config-file value must be, and how errors name it
+_JSON_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple[int, ...]: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
+def _typed(path: str, key: str, value, kind):
+    """A config-file value for a flag or TrainConfig field of type `kind`
+    (None: no type to check), a list made a tuple; ValueError when its JSON
+    type does not fit."""
+    if kind is None:
+        return value
+    fits, name = _JSON_TYPES[kind]
+    if not fits(value):
+        raise ValueError(f"{path}: {key} must be {name}, got {json.dumps(value)}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+# untyped flags that take a number as well as a string ("auto" or an eps)
+_UNTYPED_FLAGS = {"eps_collapse": float}
+
+
+def _check_flag(path: str, action: argparse.Action, value) -> None:
+    """ValueError when a config-file value does not fit its flag: true or
+    false for a switch, a list of `nargs` values of the flag's type for a
+    flag that takes several, else a value of its type (a string, or what
+    _UNTYPED_FLAGS names, for an untyped flag). A string for a typed flag is left to argparse to convert,
+    and null stands for a flag whose default is None."""
+    if value is None and action.default is None:
+        return
+    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        _typed(path, action.dest, value, bool)
+    elif action.nargs is None:
+        if not isinstance(value, str):
+            _typed(path, action.dest, value, action.type or _UNTYPED_FLAGS.get(action.dest, str))
+    elif not (isinstance(value, list) and len(value) == action.nargs):
+        raise ValueError(f"{path}: {action.dest} must be a list of {action.nargs} values, got {json.dumps(value)}")
+    else:
+        for item in value:
+            _typed(path, action.dest, item, action.type or str)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,8 @@ so every rollout is a pure function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +97,16 @@ def shape_mask(shape: str, size: int) -> np.ndarray:
     raise ValueError(f"unknown shape {shape!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil(shape: str, size: int) -> tuple[np.ndarray, float]:
+    """shape_mask(shape, size), read-only, and the intensity that gives it the
+    pixel mass of the smallest of the four stencils at that size."""
+    mask = shape_mask(shape, size)
+    mask.flags.writeable = False
+    min_area = min(int(shape_mask(name, size).sum()) for name in SHAPES)
+    return mask, min_area / int(mask.sum())
+
+
 def render(
     count: int, shape: str, color: np.ndarray, config: CountingEnvConfig, rng: np.random.Generator
 ) -> np.ndarray:
@@ -115,9 +126,7 @@ def render(
     per_side = s // cell
     num_cells = per_side * per_side
     img = np.zeros((3, s, s))
-    mask = shape_mask(shape, obj)
-    min_area = min(int(shape_mask(name, obj).sum()) for name in SHAPES)
-    intensity = min_area / int(mask.sum())
+    mask, intensity = _stencil(shape, obj)
     jitter = (cell - obj) // 2 + 1  # an offset that keeps every object inside its cell
     if count <= num_cells:
         cells = rng.choice(num_cells, size=count, replace=False)

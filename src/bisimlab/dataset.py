@@ -26,6 +26,9 @@ _PAYLOAD_START = len(MAGIC) + _HEADER.size
 # after the sidecar magic: version and frame count; the offset table follows
 _SIDECAR_HEADER = struct.Struct("<IQ")
 _OFFSETS_START = len(SIDECAR_MAGIC) + _SIDECAR_HEADER.size
+# _ranks tabulates a span of up to this many slots per value, and sorts
+# wider spans (sparse ids), so no table outgrows the records
+_TABLE_SLOTS_PER_VALUE = 4
 
 
 @dataclass
@@ -62,6 +65,16 @@ class TransitionDataset:
         its (source, action)), then aux inconsistencies in record order. Aux
         vectors compare with ==, so a record whose aux holds NaN is flagged.
         """
+        return self.scan()[0]
+
+    def scan(self) -> tuple[list[str], CoObservedIndex | None]:
+        """validate's errors and, when there are none, the co-observed index.
+
+        One pass over the records: ids are ranked once (sources and successors
+        together, then (source, action) keys), and every per-record question
+        is a lookup in a table over ranks. Tables are sized by the records and
+        the sources, never by the declared |O|.
+        """
         errors: list[str] = []
         for arr, name, bound in (
             (self.sources, "source", self.num_observations),
@@ -70,28 +83,80 @@ class TransitionDataset:
         ):
             if arr.size and (arr.min() < 0 or arr.max() >= bound):
                 errors.append(f"{name} index out of range")
-        first = _first_of_group(self.sources, self.actions)
-        bad = np.nonzero(self.successors != self.successors[first])[0]
+        n = len(self)
+        ids, rank = _ranks(np.concatenate([self.sources, self.successors]))
+        is_source = np.zeros(ids.shape[0], dtype=bool)
+        is_source[rank[:n]] = True
+        dense = np.cumsum(is_source) - 1  # id rank -> source index
+        src = dense[rank[:n]]
+        m = int(is_source.sum())
+        actions, act = _ranks(self.actions)
+        _, key = _ranks(src * actions.shape[0] + act)
+        first = _first_records(key)
+        bad = np.flatnonzero(self.successors != self.successors[first])
         rows = zip(self.sources[bad].tolist(), self.actions[bad].tolist(),
                    self.successors[first[bad]].tolist(), self.successors[bad].tolist())
         errors += [f"determinism violation at (source={s}, action={a}): {prev} vs {t}" for s, a, prev, t in rows]
-        first = _first_of_group(self.sources)
-        bad = np.nonzero(~np.all(self.aux == self.aux[first], axis=1))[0]
+        first = _first_records(src)
+        bad = np.flatnonzero(~np.all(self.aux == self.aux[first], axis=1))
         errors += [f"aux inconsistency at source={s}" for s in self.sources[bad].tolist()]
-        return errors
+        if errors:
+            return errors, None
+        # the last record of each source gives its aux, bit for bit (signs of zeros too)
+        last = np.zeros(m, dtype=np.int64)
+        np.maximum.at(last, src, np.arange(n))
+        has_action = np.zeros((m, self.num_actions), dtype=bool)
+        has_action[src, self.actions] = True
+        # valid, so repeated (source, action) records share a successor
+        succ_dense = np.full((m, self.num_actions), -1, dtype=np.int64)
+        succ_dense[src, self.actions] = np.where(is_source[rank[n:]], dense[rank[n:]], -1)
+        return [], CoObservedIndex(obs_ids=ids[is_source], aux=self.aux[last], has_action=has_action,
+                                   succ_dense=succ_dense)
 
 
-def _first_of_group(*keys: np.ndarray) -> np.ndarray:
-    """For each record, the index of the first record with the same keys."""
-    order = np.lexsort(keys[::-1])  # stable: ties keep record order
-    starts = np.zeros(order.shape[0], dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ranked = key[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    first = np.empty_like(order)
-    first[order] = order[np.maximum.accumulate(np.where(starts, np.arange(order.shape[0]), 0))]
-    return first
+@dataclass
+class CoObservedIndex:
+    """Sources appearing in a dataset, plus per-action coverage and successors.
+
+    obs_ids maps dense source index -> original observation id, in increasing
+    order. has_action[k, a] says source k has a record for action a;
+    succ_dense[k, a] is the successor's dense index, or -1 when the successor
+    never appears as a source. aux is each source's aux vector.
+    """
+
+    obs_ids: np.ndarray  # int [m]
+    aux: np.ndarray  # float [m, d_p]
+    has_action: np.ndarray  # bool [m, |A|]
+    succ_dense: np.ndarray  # int [m, |A|], -1 when successor not a source
+
+    @property
+    def num_sources(self) -> int:
+        return self.obs_ids.shape[0]
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in increasing order, and each value's rank among them.
+
+    A presence table over the values' span when that span is at most a few
+    times their count, otherwise one sort.
+    """
+    if not values.size:
+        return values, values
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if span > _TABLE_SLOTS_PER_VALUE * values.size:
+        return np.unique(values, return_inverse=True)
+    offset = values - lo
+    present = np.zeros(span, dtype=bool)
+    present[offset] = True
+    return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
+
+
+def _first_records(rank: np.ndarray) -> np.ndarray:
+    """For each record, the index of the first record of the same rank."""
+    first = np.full(int(rank.max(initial=-1)) + 1, rank.shape[0], dtype=np.int64)
+    np.minimum.at(first, rank, np.arange(rank.shape[0]))
+    return first[rank]
 
 
 def save_dataset(ds: TransitionDataset, path: str) -> None:
@@ -166,8 +231,8 @@ def save_frame_sidecar(frames: list[bytes], path: str) -> None:
             fh.write(blob)
 
 
-def parse_ppm(blob: bytes, channels: int = 3) -> np.ndarray:
-    """Decode a binary P6 PPM into a [channels, H, W] uint8 array."""
+def parse_ppm(blob: bytes, channels: int) -> np.ndarray:
+    """Decode a binary P6 PPM into a [channels, H, W] uint8 array (channels 1 or 3)."""
     if not blob.startswith(b"P6"):
         raise ValueError("not a P6 PPM")
     parts = blob.split(b"\n", 3)

@@ -3,7 +3,9 @@
 Each function here is the straightforward loop form of a library routine and
 serves as an oracle in test_loop_oracles.py: the library must give the same
 errors, arrays, file bytes, reports, partitions and round counts. The
-`np.ix_` gathers of the bisimulation operators are kept here too.
+`np.ix_` gathers of the bisimulation operators are kept here too, and so is
+F_D's fixed point by whole-relation sweeps, which the library now takes on
+the quotient by its sources' blocks.
 """
 
 from __future__ import annotations
@@ -145,6 +147,18 @@ def empirical_apply_F(index: CoObservedIndex, rel: PairRelation, aux_tol: float 
         clause &= has[:, None] & has[None, :]
         out |= clause
     return PairRelation(out)
+
+
+def empirical_lfp(ds: TransitionDataset, aux_tol: float = 0.0) -> tuple[PairRelation, PairRelation, CoObservedIndex]:
+    """F_D's least fixed point by sweeps over the whole m x m relation."""
+    index = build_co_observed_index(ds)
+    rel = PairRelation.empty(index.num_sources)
+    while True:
+        nxt = empirical_apply_F(index, rel, aux_tol)
+        if nxt == rel:
+            break
+        rel = nxt
+    return rel, PairRelation(~rel.bits), index
 
 
 def distinguishing_oracle(mdp: DeterministicMDP, max_depth: int, aux_tol: float = 0.0) -> PairRelation:

@@ -460,6 +460,56 @@ def test_config_file_value_outside_the_choices_exits_2(tmp_path, capsys):
     assert err == f"error: {cfg}: engine must be one of naive, refine\n"
 
 
+def test_config_file_counting_list_equals_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"counting": [3, 1]}))
+    results = []
+    for name, argv in (("file", ["--config", str(cfg), "bisim"]), ("flag", ["bisim", "--counting", "3", "1"])):
+        out = tmp_path / name
+        code, stdout, _ = run([*argv, "--out-dir", str(out)], capsys)
+        assert code == 0
+        results.append([stdout, *((out / f).read_bytes() for f in ("relation.csv", "partition.csv", "summary.json"))])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command, values, expected", [
+    ("verify", {"counting": [8, 4]}, [8, 4]),
+    ("verify", {"eps_collapse": 0.001}, 0.001),
+    ("verify", {"eps_collapse": "auto"}, "auto"),
+    ("verify", {"mdp": None}, None),
+    ("train", {"no_dyn_loss": True}, True),
+    ("train", {"steps": "5"}, 5),  # argparse converts a string default
+    ("train", {"aux": "none"}, "none"),
+])
+def test_config_file_value_of_its_flags_type_is_taken(tmp_path, command, values, expected):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    parser = cli.build_parser()
+    argv = ["--config", str(cfg), command, *(["--checkpoint", "c.pjpa"] if command == "verify" else [])]
+    args = cli._apply_config_file(parser, argv, parser.parse_args(argv))
+    assert getattr(args, *values) == expected
+
+
+@pytest.mark.parametrize("command, values, message", [
+    ("bisim", {"counting": [8]}, "counting must be a list of 2 values, got [8]"),
+    ("bisim", {"counting": 8}, "counting must be a list of 2 values, got 8"),
+    ("bisim", {"counting": [8, "4"]}, 'counting must be an integer, got "4"'),
+    ("bisim", {"aux_tol": True}, "aux_tol must be a number, got true"),
+    ("empirical-bisim", {"dataset": 5}, "dataset must be a string, got 5"),
+    ("empirical-bisim", {"out_dir": None}, "out_dir must be a string, got null"),
+    ("train", {"no_dyn_loss": "false"}, 'no_dyn_loss must be true or false, got "false"'),
+    ("train", {"aux": ["reward"]}, 'aux must be a string, got ["reward"]'),
+])
+def test_config_file_value_of_the_wrong_type_for_its_flag_exits_2(tmp_path, capsys, command, values, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    argv = ["--config", str(cfg), command, *(["--dataset", "unused.bslb"] if command == "empirical-bisim" else [])]
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--aux", "bogus"],
     ["train", "--aux", "random:0"],
@@ -475,9 +525,21 @@ def test_config_file_value_outside_the_choices_exits_2(tmp_path, capsys):
     ["verify", "--sample-size", "0"],
     ["analyze", "--sample-size", "1"],
     ["analyze", "--sample-size", "2"],
+    # a leading dict is the --config file
+    [{"eval_every": "5"}, "train"],
+    [{"encoder_hidden": 64}, "train"],
+    [{"encoder_hidden": [64, True]}, "train"],
+    [{"decoder_enabled": 1}, "train"],
+    [{"base_lr": None}, "train"],
+    [{"latent_dim": 2.5}, "train"],
+    [{"image_size": 16.5}, "collect"],
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
-    command = argv[0]
+    if isinstance(argv[0], dict):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(argv[0]))
+        argv = ["--config", str(cfg), *argv[1:]]
+    command = next(a for a in argv if a in ("train", "collect", "analyze", "verify"))
     if command in ("analyze", "verify"):
         dataset = collected_dir / "dataset.bslb"
         argv = [*argv, "--checkpoint", str(_image_checkpoint(tmp_path, capsys, dataset)), "--dataset", str(dataset)]

@@ -67,7 +67,7 @@ def test_ppm_roundtrip_rgb():
     frame = np.random.default_rng(0).integers(0, 256, size=(3, 8, 6)).astype(np.uint8)
     blob = ppm_bytes(frame)
     assert blob.startswith(b"P6\n6 8\n255\n")
-    assert np.array_equal(parse_ppm(blob), frame)
+    assert np.array_equal(parse_ppm(blob, channels=3), frame)
 
 
 def test_ppm_roundtrip_gray():
@@ -84,8 +84,8 @@ def test_sidecar_roundtrip(tmp_path):
     loaded = load_frame_sidecar(path)
     assert loaded == frames
     # frame 2k is the source of record k, 2k+1 its successor
-    assert np.array_equal(parse_ppm(loaded[0]), data.source_frames[0])
-    assert np.array_equal(parse_ppm(loaded[1]), data.successor_frames[0])
+    assert np.array_equal(parse_ppm(loaded[0], channels=3), data.source_frames[0])
+    assert np.array_equal(parse_ppm(loaded[1], channels=3), data.successor_frames[0])
 
 
 def _collected_files(tmp_path):

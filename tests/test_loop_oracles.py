@@ -1,5 +1,7 @@
-"""The library agrees with the loops, the Moore refinement and the `np.ix_`
-gathers it replaced (loop_oracles.py)."""
+"""The library agrees with the loops, the Moore refinement, the `np.ix_`
+gathers and the whole-relation F_D sweep it replaced (loop_oracles.py)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +9,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_oracles
+from bisimlab import bisim
 from bisimlab.analysis import DistanceMatrix, EmbeddingSet, verify_no_collapse, write_distance_csv
 from bisimlab.bisim import (
     apply_F,
+    aux_disagreement,
     build_co_observed_index,
     distinguishing_oracle,
     empirical_apply_F,
+    empirical_lfp,
+    partition_refine,
     partition_refine_with_rounds,
     partition_to_relation,
 )
-from bisimlab.dataset import TransitionDataset
+from bisimlab.dataset import TransitionDataset, load_dataset, save_dataset
 from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp
 from bisimlab.relation import PairRelation, Partition, write_relation_csv
 
@@ -63,6 +69,20 @@ def test_validate_accepts_consistent_data(ds):
     assert ds.validate() == loop_oracles.validate(ds) == []
 
 
+def _sparse_ids(ds):
+    """The same dataset with its observation ids spread far apart, so that ranking them takes a sort."""
+    spread = 10**12
+    return TransitionDataset(ds.num_observations * spread, ds.num_actions, ds.sources * spread, ds.actions,
+                             ds.successors * spread, ds.aux)
+
+
+@SETTINGS
+@given(datasets(consistent=False))
+def test_validate_matches_loop_on_sparse_ids(ds):
+    ds = _sparse_ids(ds)
+    assert ds.validate() == loop_oracles.validate(ds)
+
+
 def test_validate_error_order():
     ds = TransitionDataset(
         3, 2, sources=[0, 1, 0, 1, 0, 3], actions=[0, 0, 0, 0, 1, 0], successors=[1, 2, 2, 0, 1, 2],
@@ -78,14 +98,24 @@ def test_validate_error_order():
     assert ds.validate() == loop_oracles.validate(ds)
 
 
-@SETTINGS
-@given(datasets(consistent=True))
-def test_co_observed_index_matches_loop(ds):
-    got, want = build_co_observed_index(ds), loop_oracles.build_co_observed_index(ds)
+def _same_index(got, want):
     for name in ("obs_ids", "aux", "has_action", "succ_dense"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name  # bytewise: signs of zeros too
+
+
+@SETTINGS
+@given(datasets(consistent=True))
+def test_co_observed_index_matches_loop(ds):
+    _same_index(build_co_observed_index(ds), loop_oracles.build_co_observed_index(ds))
+
+
+@SETTINGS
+@given(datasets(consistent=True))
+def test_co_observed_index_matches_loop_on_sparse_ids(ds):
+    ds = _sparse_ids(ds)
+    _same_index(build_co_observed_index(ds), loop_oracles.build_co_observed_index(ds))
 
 
 def test_co_observed_index_marks_unseen_successors():
@@ -258,3 +288,94 @@ def test_empirical_gather_matches_ix(ds, tol, seed):
     rel = _random_relation(np.random.default_rng(seed), index.num_sources)
     assert np.array_equal(empirical_apply_F(index, rel, tol).bits,
                           loop_oracles.empirical_apply_F(index, rel, tol).bits)
+
+
+def _same_empirical(ds, tol):
+    got, want = empirical_lfp(ds, tol), loop_oracles.empirical_lfp(ds, tol)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    _same_index(got[2], want[2])
+    return got
+
+
+@SETTINGS
+@given(datasets(consistent=True), AUX_TOLS)
+def test_empirical_lfp_matches_sweep(ds, tol):
+    _same_empirical(ds, tol)
+
+
+@SETTINGS
+@given(mdps(max_n=40), AUX_TOLS, st.sampled_from((0.3, 0.7, 1.0)), st.integers(0, 2**32 - 1))
+def test_empirical_lfp_matches_sweep_on_lifted_mdps(mdp, tol, coverage, seed):
+    # large blocks, missing actions and successors that are never sources
+    rng = np.random.default_rng(seed)
+    n, na = mdp.num_observations, mdp.num_actions
+    picks = np.flatnonzero(rng.random(n * na) < coverage)
+    picks = rng.permutation(np.concatenate([picks, rng.choice(picks, size=picks.size)])) if picks.size else picks
+    src, act = picks // na, picks % na
+    ds = TransitionDataset(n, na, src, act, mdp.transition[src, act], mdp.aux[src])
+    _same_empirical(ds, tol)
+
+
+def test_empirical_lfp_compares_labels_not_representatives():
+    # aux 0 and 0.6, and 0.6 and 1.25, are within 0.65: one label for all three.
+    # Sources 0 and 1 have action 0 only and source 2 action 1 only, so the
+    # blocks are {0, 1} and {2}, and no pair is ever told apart.
+    ds = TransitionDataset(3, 2, sources=[0, 1, 2], actions=[0, 0, 1], successors=[0, 1, 2],
+                           aux=[[0.0], [0.6], [1.25]])
+    r_d, b_d, _ = _same_empirical(ds, 0.65)
+    assert r_d.count() == 0 and b_d.count() == 9
+    # the blocks' first members have aux 0 and 1.25, more than 0.65 apart
+    trap = aux_disagreement(np.array([[0.0], [1.25]]), 0.65)[[0, 0, 1]][:, [0, 0, 1]]
+    assert PairRelation(trap).count() == 4
+
+
+@pytest.mark.parametrize("records", [0, 1])
+def test_empirical_lfp_on_tiny_datasets(records):
+    ds = TransitionDataset(3, 2, sources=[1][:records], actions=[1][:records], successors=[2][:records],
+                           aux=np.full((records, 1), 0.5))
+    r_d, b_d, index = _same_empirical(ds, 0.0)
+    assert index.num_sources == records
+    assert r_d.count() == 0 and b_d.count() == records
+
+
+def test_empirical_lfp_ignores_declared_observation_count(tmp_path):
+    # nothing is sized by the header's |O|, and ids far apart are ranked by one sort
+    ds = TransitionDataset(2**32 - 1, 2, sources=[2**32 - 2, 7, 2**31], actions=[0, 1, 0],
+                           successors=[7, 2**32 - 2, 5], aux=[[1.0], [0.0], [1.0]])
+    path = tmp_path / "dataset.bslb"
+    save_dataset(ds, str(path))
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        r_d, _, index = empirical_lfp(load_dataset(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a table over the declared 2**32 ids would take gigabytes
+    assert index.obs_ids.tolist() == [7, 2**31, 2**32 - 2]
+    assert r_d.pairs() == [(0, 1), (0, 2)]
+    _same_empirical(load_dataset(str(path)), 0.0)
+
+
+def test_empirical_lfp_on_full_coverage_runs_on_the_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    k, copies, na = 6, 20, 3
+    state = rng.permutation(np.repeat(np.arange(k), copies))
+    copies_of = np.argsort(state, kind="stable").reshape(k, copies)
+    transition = copies_of[rng.integers(0, k, size=(k, na))[state], rng.integers(0, copies, size=(k * copies, na))]
+    aux = rng.integers(0, 2, size=k)[state].astype(np.float64).reshape(-1, 1)
+    n = k * copies
+    mdp = DeterministicMDP(n, na, transition, aux, aux[:, 0].copy(), np.full(n, 1.0 / n))
+    src, act = np.repeat(np.arange(n), na), np.tile(np.arange(na), n)
+    ds = TransitionDataset(n, na, src, act, transition[src, act], aux[src])
+    sizes = []
+
+    def recording(index, rel, aux_tol=0.0):
+        sizes.append(rel.num_observations)
+        return empirical_apply_F(index, rel, aux_tol)
+
+    monkeypatch.setattr(bisim, "empirical_apply_F", recording)
+    r_d, _, _ = empirical_lfp(ds)
+    part = partition_refine(mdp)
+    assert r_d == partition_to_relation(part)
+    assert part.num_blocks < n and set(sizes) == {part.num_blocks}
