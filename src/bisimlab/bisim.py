@@ -72,11 +72,43 @@ def apply_F(mdp: DeterministicMDP, rel: PairRelation, aux_tol: float = 0.0) -> P
     n = mdp.num_observations
     if rel.num_observations != n:
         raise ValueError(f"relation over {rel.num_observations} observations, MDP has {n}")
-    out = aux_disagreement(mdp.aux, aux_tol)
-    for a in range(mdp.num_actions):
-        fa = mdp.transition[:, a]
-        out |= rel.bits[fa][:, fa]
-    return PairRelation(out)
+    return PairRelation(_sweep(aux_disagreement(mdp.aux, aux_tol), mdp.transition, rel.bits))
+
+
+def _sweep(disagree: np.ndarray, transition: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """F(R)'s matrix from the aux-disagreement matrix and R's matrix."""
+    out = disagree.copy()
+    for fa in transition.T:
+        out |= bits[fa][:, fa]
+    return out
+
+
+def is_fixed_point(mdp: DeterministicMDP, part: Partition, aux_tol: float = 0.0) -> bool:
+    """Whether R = {(o,o') : o and o' in different blocks} satisfies F(R) = R.
+
+    (o,o') is in F(R) exactly when the signatures of o and o' differ, a
+    signature being an observation's aux label and the blocks of its
+    successors, one per action. So F(R) = R says that two observations lie
+    in different blocks exactly when their signatures differ: every block
+    has one signature and no two blocks share one, i.e. block <-> signature
+    is a bijection. That holds when the distinct (block, signature) pairs
+    are as many as the distinct blocks and as many as the distinct
+    signatures. The same boolean as apply_F(mdp, R) == R for any partition,
+    in O(n |A|) work plus one sort of the signatures, reading only the MDP
+    and block_of.
+    """
+    n = mdp.num_observations
+    if part.num_observations != n:
+        raise ValueError(f"partition of {part.num_observations} observations, MDP has {n}")
+    if n == 0:
+        return True
+    block_of = part.block_of
+    signature = np.column_stack([aux_labels(mdp.aux, aux_tol), block_of[mdp.transition]])
+    _, sig_of = np.unique(signature, axis=0, return_inverse=True)
+    sig_of = sig_of.reshape(-1)
+    _, block_ids = np.unique(block_of, return_inverse=True)
+    num_blocks, num_sigs = block_ids.max() + 1, sig_of.max() + 1
+    return num_blocks == num_sigs == np.unique(block_ids * num_sigs + sig_of).size
 
 
 def least_fixed_point(
@@ -85,19 +117,21 @@ def least_fixed_point(
     """Iterate F from the empty relation until it stabilizes.
 
     Returns (R*, iteration count, per-iteration frontier sizes |R^(t+1) \\ R^(t)|).
+    The aux-disagreement matrix is formed once and shared by every sweep.
     """
-    rel = PairRelation.empty(mdp.num_observations)
+    disagree = aux_disagreement(mdp.aux, aux_tol)
+    bits = np.zeros_like(disagree)
     trace: list[int] = []
     iterations = 0
     while True:
-        nxt = apply_F(mdp, rel, aux_tol)
+        nxt = _sweep(disagree, mdp.transition, bits)
         iterations += 1
-        frontier = int(np.sum(nxt.bits & ~rel.bits))
+        frontier = int(np.sum(nxt & ~bits))
         trace.append(frontier)
         if frontier == 0:
             break
-        rel = nxt
-    return rel, iterations, trace
+        bits = nxt
+    return PairRelation(bits), iterations, trace
 
 
 def quotient(r_star: PairRelation, mdp: DeterministicMDP, aux_tol: float = 0.0) -> Partition:

@@ -70,11 +70,18 @@ def _load_mdp(args) -> "bisim.DeterministicMDP":
     return mdp
 
 
+def _check_aux_tol(value: float) -> None:
+    """ValueError unless --aux-tol is a finite number >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"--aux-tol must be a finite number >= 0, not {value!r}")
+
+
 def cmd_bisim(args) -> int:
     if args.mdp is None and not args.counting:
         print("error: one of --mdp / --counting is required", file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        _check_aux_tol(args.aux_tol)
         mdp = _load_mdp(args)
     except (ValueError, OSError) as exc:
         return _input_error(exc)
@@ -86,7 +93,7 @@ def cmd_bisim(args) -> int:
     else:
         part, iterations = bisim.partition_refine_with_rounds(mdp, args.aux_tol)
         rel = bisim.partition_to_relation(part)
-    verified = bisim.apply_F(mdp, rel, args.aux_tol) == rel
+    verified = bisim.is_fixed_point(mdp, part, args.aux_tol)
     rel_path, part_path = out / "relation.csv", out / "partition.csv"
     write_relation_csv(rel, str(rel_path))
     write_partition_csv(part, str(part_path))
@@ -107,6 +114,10 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_empirical_bisim(args) -> int:
+    try:
+        _check_aux_tol(args.aux_tol)
+    except ValueError as exc:
+        return _input_error(exc)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

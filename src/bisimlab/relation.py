@@ -4,16 +4,34 @@ A PairRelation is a symmetric boolean |O|x|O| matrix. At desk scale
 (|O| up to a few thousand) a byte-per-entry numpy matrix fits easily in
 memory and vectorizes every sweep, so we store plain bool rather than packed
 bits.
+
+A relation computed from a partition repeats its rows: observations in one
+block have equal rows. The transitivity check and the CSV writer therefore
+work on the distinct rows (found by hashing packed rows, in first-occurrence
+order) and reuse what they find for a row on its repeats. Both shortcuts are
+exact for any relation, repeated rows or not; see their docstrings.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 # matrix cells per row block in complement_is_transitive
 _BLOCK_CELLS = 1 << 18
+
+
+def _row_classes(bits: np.ndarray) -> list[int]:
+    """For each row of a square matrix, the index of the first row equal to
+    it. Rows are compared by the bytes of their packed bits, hashed."""
+    n = bits.shape[0]
+    packed = np.packbits(bits, axis=1).tobytes()
+    width = len(packed) // max(n, 1)
+    first: dict[bytes, int] = {}
+    return [first.setdefault(packed[i * width : (i + 1) * width], i) for i in range(n)]
 
 
 @dataclass
@@ -73,13 +91,27 @@ class PairRelation:
         product, a block of rows at a time: C is transitive when no pair with
         a path count above zero lies in R. The counts are sums of 0/1 terms,
         exact below 2**24 and never rounded down to zero above it.
+
+        A symmetric R is checked on one representative of each distinct row.
+        Equal rows give R[i, j] = R[rep(i), j], and by symmetry the same
+        holds for columns, so R is the lift of its sub-relation S over the
+        representatives, R[i, j] = S[class(i), class(j)], and C is the lift
+        of S's complement. A path i -> j -> l through C is then one through
+        S's complement between their classes, and S's complement is C
+        restricted to the representatives, so the two are transitive
+        together. A non-symmetric R is checked on all its rows.
         """
-        n = self.num_observations
-        comp = (~self.bits).astype(np.float32)
+        bits = self.bits
+        if self.is_symmetric():
+            reps = np.flatnonzero(np.array(_row_classes(bits)) == np.arange(bits.shape[0]))
+            if reps.size < bits.shape[0]:
+                bits = bits[reps][:, reps]
+        n = bits.shape[0]
+        comp = (~bits).astype(np.float32)
         rows = max(1, _BLOCK_CELLS // max(n, 1))
         for r0 in range(0, n, rows):
             paths = comp[r0 : r0 + rows] @ comp
-            if np.any((paths > 0) & self.bits[r0 : r0 + rows]):
+            if np.any((paths > 0) & bits[r0 : r0 + rows]):
                 return False
         return True
 
@@ -113,16 +145,39 @@ def write_relation_csv(rel: PairRelation, path: str, ids: np.ndarray | None = No
 
     `ids` maps matrix indices to the observation ids written; by default the
     indices themselves. Each matrix row becomes one write.
+
+    A row whose bits occur once is written from its own columns. The first
+    row i0 of a class of equal rows keeps its lines as one text of
+    "\\0<j>\\n" lines, for its columns j > i0, with the offset of each line.
+    A later member i > i0 has the same columns, and its lines are those with
+    j > i: the text cut at the first such line (a binary search of the
+    columns), with i's name put in place of each "\\0". Names are decimal
+    numbers, so they hold no "\\0", and the bytes are those of the
+    row-by-row path.
     """
     n = rel.num_observations
     names = [str(v) for v in (range(n) if ids is None else np.asarray(ids).tolist())]
+    rep_of = _row_classes(rel.bits)
+    left = np.bincount(rep_of, minlength=n).tolist()  # members of each class not yet written
+    kept: dict[int, tuple[str, list[int], list[int]]] = {}  # first row -> (text, its columns, line offsets)
     with open(path, "w") as fh:
         fh.write("i,j\n")
         for i, row in enumerate(rel.bits):
-            js = np.flatnonzero(row[i + 1 :]) + (i + 1)
-            if js.size:
-                head = names[i] + ","
-                fh.write(head + ("\n" + head).join(map(names.__getitem__, js.tolist())) + "\n")
+            r = rep_of[i]
+            if r == i:
+                js = (np.flatnonzero(row[i + 1 :]) + (i + 1)).tolist()
+                if left[i] == 1:
+                    if js:
+                        head = names[i] + ","
+                        fh.write(head + ("\n" + head).join(map(names.__getitem__, js)) + "\n")
+                    continue
+                lines = ["\0" + names[j] + "\n" for j in js]
+                kept[i] = ("".join(lines), js, [0, *itertools.accumulate(map(len, lines))])
+            text, js, offsets = kept[r]
+            fh.write(text[offsets[bisect.bisect_right(js, i)] :].replace("\0", names[i] + ","))
+            left[r] -= 1
+            if not left[r]:
+                del kept[r]
 
 
 def write_partition_csv(part: Partition, path: str) -> None:

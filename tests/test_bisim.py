@@ -11,6 +11,7 @@ from bisimlab.bisim import (
     apply_F,
     distinguishing_oracle,
     empirical_lfp,
+    is_fixed_point,
     least_fixed_point,
     partition_refine,
     partition_to_relation,
@@ -18,7 +19,7 @@ from bisimlab.bisim import (
 )
 from bisimlab.dataset import TransitionDataset
 from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp, random_mdp
-from bisimlab.relation import PairRelation
+from bisimlab.relation import PairRelation, Partition
 
 
 def chain_mdp():
@@ -91,6 +92,30 @@ def test_apply_F_successor_clause_chain():
 def test_apply_F_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_F(chain_mdp(), PairRelation.empty(4))
+    with pytest.raises(ValueError):
+        is_fixed_point(chain_mdp(), Partition(block_of=np.zeros(4), num_blocks=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.35)), st.sampled_from(("refined", "moved", "arbitrary")))
+def test_is_fixed_point_matches_apply_F(seed, tol, kind):
+    """The signature check is the boolean F(R) == R for R = pairs in different
+    blocks, on stable partitions and on any others."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    mdp = random_mdp(n, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng)
+    if rng.random() < 0.5:
+        mdp = dataclasses.replace(mdp, aux=rng.random((n, int(rng.integers(1, 3)))) * 3.0)
+    block_of = partition_refine(mdp, tol).block_of
+    if kind == "moved":  # one observation put in another block, or a new one
+        block_of[rng.integers(n)] = rng.integers(n + 1)
+    elif kind == "arbitrary":  # labels need not run 0..k-1
+        block_of = rng.integers(0, int(rng.integers(1, n + 1)), n) * 3 + 5
+    part = Partition(block_of=block_of, num_blocks=len(np.unique(block_of)))
+    rel = partition_to_relation(part)
+    assert is_fixed_point(mdp, part, tol) == (apply_F(mdp, rel, tol) == rel)
+    if kind == "refined":
+        assert is_fixed_point(mdp, part, tol)
 
 
 def test_lfp_counting_is_cross_count():

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,23 +39,32 @@ def test_bisim_counting(tmp_path, capsys):
 
 
 def test_bisim_engines_agree(tmp_path, capsys):
-    path = str(tmp_path / "mdp.json")
-    save_mdp_json(random_mdp(12, 3, 2, np.random.default_rng(5)), path)
-    outs = {}
-    for engine in ("naive", "refine"):
-        out = str(tmp_path / engine)
-        code, stdout, _ = run(
-            ["bisim", "--mdp", path, "--engine", engine, "--out-dir", out], capsys
-        )
-        assert code == 0
-        outs[engine] = (
-            json.loads(stdout),
-            open(os.path.join(out, "relation.csv")).read(),
-            open(os.path.join(out, "partition.csv")).read(),
-        )
-    assert outs["naive"][0]["num_pairs"] == outs["refine"][0]["num_pairs"]
-    assert outs["naive"][1] == outs["refine"][1]
-    assert outs["naive"][2] == outs["refine"][2]
+    rng = np.random.default_rng(5)
+    mdp = random_mdp(12, 3, 2, rng)
+    # spread aux values, which --aux-tol 0.5 joins through chains: 6 blocks, against 12 at tol 0
+    spread = random_mdp(12, 1, 2, rng)
+    aux = np.round(rng.random((12, 1)) * 3.0, 2)
+    spread = dataclasses.replace(spread, aux=aux, reward=aux[:, 0].copy())
+    for name, m, tol in (("exact", mdp, "0"), ("tol", spread, "0.5")):
+        path = str(tmp_path / f"{name}.json")
+        save_mdp_json(m, path)
+        outs = {}
+        for engine in ("naive", "refine"):
+            out = str(tmp_path / name / engine)
+            code, stdout, _ = run(
+                ["bisim", "--mdp", path, "--engine", engine, "--aux-tol", tol, "--out-dir", out], capsys
+            )
+            assert code == 0
+            outs[engine] = (
+                json.loads(stdout),
+                open(os.path.join(out, "relation.csv")).read(),
+                open(os.path.join(out, "partition.csv")).read(),
+            )
+            assert outs[engine][0]["fixed_point_verified"] is True
+            assert outs[engine][0]["num_blocks"] == {"exact": 12, "tol": 6}[name]
+        assert outs["naive"][0]["num_pairs"] == outs["refine"][0]["num_pairs"]
+        assert outs["naive"][1] == outs["refine"][1]
+        assert outs["naive"][2] == outs["refine"][2]
 
 
 def test_bisim_requires_source(tmp_path, capsys):
@@ -507,6 +518,30 @@ def test_config_file_value_of_the_wrong_type_for_its_flag_exits_2(tmp_path, caps
     code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bisim", "empirical-bisim"])
+@pytest.mark.parametrize("flag, config, shown", [
+    ("nan", None, "nan"),
+    ("-1", None, "-1.0"),
+    ("inf", None, "inf"),
+    (None, math.nan, "nan"),
+    (None, -1, "-1"),
+    (None, math.inf, "inf"),
+    (None, "-0.5", "-0.5"),  # argparse converts a string default
+])
+def test_aux_tol_outside_its_domain_exits_2(tmp_path, capsys, command, flag, config, shown):
+    argv = [command, *(["--counting", "3", "1"] if command == "bisim" else ["--dataset", "unused.bslb"])]
+    if flag is not None:
+        argv.append(f"--aux-tol={flag}")
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"aux_tol": config}))
+        argv = ["--config", str(cfg), *argv]
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: --aux-tol must be a finite number >= 0, not {shown}\n"
     assert not (tmp_path / "out").exists()
 
 

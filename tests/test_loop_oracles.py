@@ -133,8 +133,23 @@ def relations(draw, max_n=12):
     return PairRelation(np.array(cells, dtype=bool).reshape(n, n))
 
 
+@st.composite
+def lifted_relations(draw, max_n=40):
+    """Relations whose rows repeat: a random k x k relation lifted through
+    block labels, with a few cells flipped. Random relations of at most 12
+    observations rarely repeat a row."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 4))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    sub = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))).reshape(k, k)
+    bits = sub[labels][:, labels]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        bits[i, j] = not bits[i, j]
+    return PairRelation(bits)
+
+
 @SETTINGS
-@given(relations(), st.booleans(), st.integers(0, 10**9))
+@given(st.one_of(relations(), lifted_relations()), st.booleans(), st.integers(0, 10**9))
 def test_relation_csv_matches_loop(tmp_path_factory, rel, mapped, offset):
     path = tmp_path_factory.mktemp("rel") / "relation.csv"
     ids = np.arange(rel.num_observations, dtype=np.int64) * 7 + offset if mapped else None

@@ -35,13 +35,30 @@ def test_complement_check_spans_row_blocks():
     assert PairRelation(labels[:, None] != labels[None, :]).complement_is_transitive()
 
 
+def test_complement_check_on_a_row_quotient_that_spans_row_blocks():
+    # rows 589..599 repeat, so the check runs on 590 representatives: more than one row block holds
+    n, k = 600, 590
+    assert relation._BLOCK_CELLS // k < k
+    labels = np.minimum(np.arange(n), k - 1)
+    bits = labels[:, None] != labels[None, :]
+    assert PairRelation(bits).complement_is_transitive()
+    # 586 ~ 587 ~ 588 but 586 and 588 stay apart, in the second row block
+    for i, j in ((586, 587), (587, 588)):
+        bits[i, j] = bits[j, i] = False
+    assert not PairRelation(bits).complement_is_transitive()
+
+
 @st.composite
 def perturbed_partitions(draw):
-    """Different-block relations (transitive complement), with some cells flipped;
-    flips may break symmetry."""
+    """Different-block relations (transitive complement), or symmetric
+    relations lifted from 4 blocks, with some cells flipped; flips may break
+    symmetry."""
     n = draw(st.integers(1, 14))
     labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     bits = labels[:, None] != labels[None, :]
+    if draw(st.booleans()):
+        sub = np.array(draw(st.lists(st.booleans(), min_size=16, max_size=16))).reshape(4, 4)
+        bits = (sub | sub.T)[labels][:, labels]
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
         bits[i, j] = not bits[i, j]
     return PairRelation(bits)
