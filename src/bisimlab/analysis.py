@@ -197,7 +197,13 @@ def _median_pair_distance(d: np.ndarray) -> float:
     """Median over the pairs i < j of a square distance matrix."""
     if len(d) < 2:
         raise ValueError("need at least 2 embeddings for a median pairwise distance")
-    return float(np.median(d[np.triu_indices(len(d), k=1)]))
+    pairs = d[np.triu_indices(len(d), k=1)]
+    # np.median's value, taken from np.partition, since np.median loads numpy.ma
+    mid = pairs.size // 2
+    if pairs.size % 2:
+        return float(np.partition(pairs, mid)[mid])
+    low, high = np.partition(pairs, (mid - 1, mid))[mid - 1 : mid + 1]
+    return float((low + high) / 2.0)
 
 
 def median_pairwise_distance(vectors: np.ndarray) -> float:

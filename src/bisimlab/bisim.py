@@ -108,7 +108,9 @@ def is_fixed_point(mdp: DeterministicMDP, part: Partition, aux_tol: float = 0.0)
     sig_of = sig_of.reshape(-1)
     _, block_ids = np.unique(block_of, return_inverse=True)
     num_blocks, num_sigs = block_ids.max() + 1, sig_of.max() + 1
-    return num_blocks == num_sigs == np.unique(block_ids * num_sigs + sig_of).size
+    # distinct (block, signature) pairs, counted without np.unique, which loads numpy.ma
+    pairs = np.sort(block_ids * num_sigs + sig_of)
+    return num_blocks == num_sigs == np.count_nonzero(np.diff(pairs)) + 1
 
 
 def least_fixed_point(

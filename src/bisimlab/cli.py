@@ -118,13 +118,13 @@ def cmd_empirical_bisim(args) -> int:
         _check_aux_tol(args.aux_tol)
     except ValueError as exc:
         return _input_error(exc)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         ds = load_dataset(args.dataset)
         r_star_d, b_star_d, index = bisim.empirical_lfp(ds, args.aux_tol)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rel_path = out / "relation.csv"
     write_relation_csv(r_star_d, str(rel_path), index.obs_ids)
     summary = {
@@ -151,14 +151,14 @@ def _env_config(args) -> CountingEnvConfig:
 
 
 def cmd_collect(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         config = _env_config(args)
         collected = collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
                                     rng=np.random.default_rng(args.seed))
     except ValueError as exc:
         return _input_error(exc)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     ds_path, frames_path = out / "dataset.bslb", out / "frames.bsli"
     save_dataset(collected.dataset, str(ds_path))
     save_frame_sidecar(collected.ppm_frames(), str(frames_path))
@@ -182,8 +182,6 @@ def _load_collected(dataset_path: str, channels: int) -> CollectedData:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config_fields = {f.name for f in dataclasses.fields(TrainConfig)}
     overrides = {
         k: v for k, v in getattr(args, "config_extras", {}).items() if k in config_fields
@@ -207,6 +205,8 @@ def cmd_train(args) -> int:
             data = preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
     except (OSError, ValueError) as exc:
         return _input_error(exc)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         result = train(config, data)
     except DivergenceError as exc:
@@ -248,14 +248,14 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
 
 
 def cmd_analyze(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         params, _ = load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         proj, fractions, _ = analysis.pca_2d(embs)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     dm = analysis.pairwise_distances(embs)
     pca_path, dist_path, heat_path = out / "pca.csv", out / "distances.csv", out / "heatmap.ppm"
     analysis.write_pca_csv(proj, embs.labels, str(pca_path))
@@ -299,8 +299,6 @@ def _eps_collapse(value) -> float | None:
 
 
 def cmd_verify(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mdp is None and not args.counting:
         print("error: one of --mdp / --counting is required", file=sys.stderr)
         return EXIT_VALIDATION
@@ -312,6 +310,8 @@ def cmd_verify(args) -> int:
         report = analysis.verify_no_collapse(embs, bisim.partition_refine(mdp), _eps_collapse(args.eps_collapse))
     except (OSError, ValueError) as exc:
         return _input_error(exc)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "collapse_report.json"
     report_path.write_text(report.to_json())
     _write_manifest(out, {"command": "verify", "checkpoint": args.checkpoint,

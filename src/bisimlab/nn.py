@@ -89,20 +89,22 @@ class ModelParams:
     decoder_probe: list[Linear] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._layout = []  # (name, start, stop, shape), in param_shapes order
+        self._where = {}  # name -> (start, stop, shape), in param_shapes order
         stop = 0
         for name, shape in param_shapes(self.config).items():
             start, stop = stop, stop + math.prod(shape)
-            self._layout.append((name, start, stop, shape))
+            self._where[name] = (start, stop, shape)
         if self.flat.shape != (stop,) or self.flat.dtype != np.float64:
             raise ValueError(f"flat buffer must be float64 of shape ({stop},)")
-        views = self.views(self.flat)
-        self._segments = {}
+        self._segments, self._layers, self._weights = {}, {}, {}
         for comp in COMPONENTS:
-            spans = [(start, end) for name, start, end, _ in self._layout if name.startswith(comp + ".")]
+            spans = [where for name, where in self._where.items() if name.startswith(comp + ".")]
             self._segments[comp] = slice(spans[0][0], spans[-1][1])
-            setattr(self, comp, [Linear(Param(views[f"{comp}.{k}.W"]), Param(views[f"{comp}.{k}.b"]))
-                                 for k in range(len(spans) // 2)])
+            # per layer: where W starts, where W ends and b starts, W's shape, where b ends
+            self._layers[comp] = [(w[0], w[1], w[2], b[1]) for w, b in zip(spans[0::2], spans[1::2])]
+            self._weights[comp] = self.slots(comp, self.flat)
+            setattr(self, comp, [Linear(Param(W), Param(b)) for W, b in self._weights[comp]])
+        self._grads = None  # the gradient buffer and its per-component slots, made by loss_and_grads
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
@@ -123,7 +125,11 @@ class ModelParams:
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """name -> that parameter's view into a buffer laid out like `flat`."""
-        return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
+        return {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in self._where.items()}
+
+    def slots(self, component: str, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) of each layer of one component, as views into a buffer laid out like `flat`."""
+        return [(flat[s:m].reshape(shape), flat[m:e]) for s, m, shape, e in self._layers[component]]
 
     def segment(self, component: str) -> slice:
         """Where one component's parameters sit in `flat`."""
@@ -139,16 +145,17 @@ class Gradients(Mapping):
 
     def __init__(self, params: ModelParams, flat: np.ndarray):
         self.flat = flat
-        self._views = params.views(flat)
+        self._where = params._where
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._views[name]
+        start, stop, shape = self._where[name]
+        return self.flat[start:stop].reshape(shape)
 
     def __iter__(self):
-        return iter(self._views)
+        return iter(self._where)
 
     def __len__(self) -> int:
-        return len(self._views)
+        return len(self._where)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -163,11 +170,12 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams.from_arrays(config, arrays)
 
 
-def _run_mlp(layers: list[Linear], x: np.ndarray, cache: list | None) -> np.ndarray:
-    """Forward pass; appends each layer's (input, pre-activation) to `cache`."""
+def _run_mlp(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, cache: list | None) -> np.ndarray:
+    """Forward pass over (W, b) pairs; appends each layer's (input, pre-activation) to `cache`."""
     last = len(layers) - 1
-    for k, layer in enumerate(layers):
-        h = x @ layer.W.data + layer.b.data
+    for k, (W, b) in enumerate(layers):
+        h = x @ W
+        h += b
         if cache is not None:
             cache.append((x, h))
         x = np.maximum(h, 0.0) if k < last else h
@@ -175,7 +183,7 @@ def _run_mlp(layers: list[Linear], x: np.ndarray, cache: list | None) -> np.ndar
 
 
 def _backprop(
-    layers: list[Linear],
+    layers: list[tuple[np.ndarray, np.ndarray]],
     cache: list,
     grad: np.ndarray,
     out: list[tuple[np.ndarray, np.ndarray]],
@@ -194,16 +202,16 @@ def _backprop(
     for k in range(last, -1, -1):
         x, h = cache[k]
         if k < last:
-            grad = grad * (h > 0.0)
+            grad *= h > 0.0  # grad is the product formed below, so this writes no caller's array
         gW, gb = out[k]
         if accumulate:
             gW += x.T @ grad
-            gb += grad.sum(axis=0)
+            gb += np.add.reduce(grad, 0)
         else:
             np.matmul(x.T, grad, out=gW)
-            np.sum(grad, axis=0, out=gb)
+            np.add.reduce(grad, 0, out=gb)
         if k > 0 or input_grad:
-            grad = grad @ layers[k].W.data.T
+            grad = grad @ layers[k][0].T
     return grad if input_grad else None
 
 
@@ -216,33 +224,35 @@ def preprocess(obs_batch: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def encode(params: ModelParams, obs_batch: np.ndarray, cache: list | None = None) -> np.ndarray:
-    z = _run_mlp(params.encoder, preprocess(obs_batch, params.config), cache)
-    if not np.all(np.isfinite(z)):
+    z = _run_mlp(params._weights["encoder"], preprocess(obs_batch, params.config), cache)
+    if not np.isfinite(z).all():
         raise FloatingPointError("non-finite encoder output")
     return z
 
 
 def one_hot_actions(actions: np.ndarray, num_actions: int) -> np.ndarray:
-    eye = np.eye(num_actions)
-    return eye[np.asarray(actions, dtype=np.int64)]
+    actions = np.asarray(actions, dtype=np.int64)
+    out = np.zeros((len(actions), num_actions))
+    out[np.arange(len(actions)), actions] = 1.0
+    return out
 
 
 def predict_next(
     params: ModelParams, z_batch: np.ndarray, action_batch: np.ndarray, cache: list | None = None
 ) -> np.ndarray:
     a = one_hot_actions(action_batch, params.config.num_actions)
-    out = _run_mlp(params.dynamics, np.concatenate([z_batch, a], axis=1), cache)
-    if not np.all(np.isfinite(out)):
+    out = _run_mlp(params._weights["dynamics"], np.concatenate([z_batch, a], axis=1), cache)
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite dynamics output")
     return out
 
 
 def aux_predict(params: ModelParams, z_batch: np.ndarray, cache: list | None = None) -> np.ndarray:
-    return _run_mlp(params.aux_head, z_batch, cache)
+    return _run_mlp(params._weights["aux_head"], z_batch, cache)
 
 
 def decode(params: ModelParams, z_batch: np.ndarray, cache: list | None = None) -> np.ndarray:
-    return _run_mlp(params.decoder_probe, z_batch, cache)
+    return _run_mlp(params._weights["decoder_probe"], z_batch, cache)
 
 
 @dataclass
@@ -262,23 +272,9 @@ class LossReport:
     decoder_loss: float
 
 
-@dataclass
-class Forward:
-    """What the backward needs from one joint_loss call: the layer caches of
-    each MLP call, and each active loss's residual (prediction - target)."""
-
-    encoder_t: list = field(default_factory=list)
-    encoder_next: list = field(default_factory=list)
-    dynamics: list = field(default_factory=list)
-    aux_head: list = field(default_factory=list)
-    decoder_probe: list = field(default_factory=list)
-    dyn_residual: np.ndarray | None = None
-    aux_residual: np.ndarray | None = None
-    dec_residual: np.ndarray | None = None
-
-
 def _mse(residual: np.ndarray) -> float:
-    return float((residual * residual).mean())
+    # what residual**2's .mean() computes, without numpy's Python wrappers
+    return float(np.add.reduce(residual * residual, axis=None) / residual.size)
 
 
 def _mse_grad(residual: np.ndarray, weight: float) -> np.ndarray:
@@ -296,42 +292,41 @@ def joint_loss(
     aux_enabled: bool = True,
     decoder_enabled: bool = True,
     step: int = 0,
-) -> tuple[LossReport, Forward]:
+) -> tuple[LossReport, tuple]:
     """Joint objective: dynamics consistency + weighted auxiliary regression.
 
     dyn loss compares T(E(o_t), a_t) to E(o_{t+1}) with gradients into both
     encoder calls (no stop-gradient, no target network). The decoder probe
     trains on detached latents against images normalized to [-1, 1]; its loss
     is optimized alongside but excluded from `total`.
+
+    Also returns what the backward needs: the layer caches of both encoder
+    calls, and (residual, layer cache) of the dynamics, aux and decoder losses,
+    where a residual is prediction - target and None for an inactive loss.
     """
-    fwd = Forward()
-    z_t = encode(params, batch.obs, fwd.encoder_t)
-    objective = 0.0
-    dyn_val = 0.0
-    aux_val = 0.0
+    enc_t, enc_next, dyn_cache, aux_cache, dec_cache = [], [], [], [], []
+    dyn = aux = dec = None
+    z_t = encode(params, batch.obs, enc_t)
+    dyn_val = aux_val = dec_val = 0.0
     if dyn_loss_enabled:
-        z_next = encode(params, batch.next_obs, fwd.encoder_next)
-        z_hat = predict_next(params, z_t, batch.actions, fwd.dynamics)
-        fwd.dyn_residual = z_hat - z_next
-        dyn_val = _mse(fwd.dyn_residual)
-        objective += dyn_val
+        z_next = encode(params, batch.next_obs, enc_next)
+        dyn = predict_next(params, z_t, batch.actions, dyn_cache) - z_next
+        dyn_val = _mse(dyn)
     if aux_enabled:
-        target = np.asarray(batch.aux_targets, dtype=np.float64)
-        fwd.aux_residual = aux_predict(params, z_t, fwd.aux_head) - target
-        aux_val = _mse(fwd.aux_residual)
-        objective += c_p * aux_val
+        aux = aux_predict(params, z_t, aux_cache) - np.asarray(batch.aux_targets, dtype=np.float64)
+        aux_val = _mse(aux)
     total = dyn_val + c_p * aux_val if aux_enabled else dyn_val
-    dec_val = 0.0
+    objective = total
     if decoder_enabled:
         flat = np.asarray(batch.obs, dtype=np.float64).reshape(batch.obs.shape[0], -1)
         target = flat * 2.0 - 1.0 if params.config.obs_kind == "image" else flat
-        fwd.dec_residual = decode(params, z_t, fwd.decoder_probe) - target
-        dec_val = _mse(fwd.dec_residual)
+        dec = decode(params, z_t, dec_cache) - target
+        dec_val = _mse(dec)
         objective += dec_val
-    if not np.isfinite(objective):
+    if not math.isfinite(objective):
         raise FloatingPointError(f"non-finite loss at step {step}")
     report = LossReport(step=step, dyn_loss=dyn_val, aux_loss=aux_val, total=total, decoder_loss=dec_val)
-    return report, fwd
+    return report, (enc_t, enc_next, (dyn, dyn_cache), (aux, aux_cache), (dec, dec_cache))
 
 
 def loss_and_grads(
@@ -345,38 +340,40 @@ def loss_and_grads(
 ) -> tuple[LossReport, Gradients]:
     """The joint loss and its gradient for every parameter (zero where no
     active loss reaches). No gradient is formed for the observations or for
-    the decoder probe's detached input."""
-    report, fwd = joint_loss(params, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step)
-    flat = np.empty_like(params.flat)
-    grads = Gradients(params, flat)
+    the decoder probe's detached input.
 
-    def slots(comp: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(grads[f"{comp}.{k}.W"], grads[f"{comp}.{k}.b"]) for k in range(len(getattr(params, comp)))]
-
-    def skip(comp: str) -> None:
-        flat[params.segment(comp)] = 0.0
-
+    The gradients live in one buffer that `params` keeps for this function,
+    so a step allocates no gradient buffer and builds no views; the next call
+    on the same `params` overwrites them, so copy `grads.flat` to keep them."""
+    report, (enc_t, enc_next, (dyn, dyn_cache), (aux, aux_cache), (dec, dec_cache)) = joint_loss(
+        params, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step)
+    if params._grads is None:
+        flat = np.empty_like(params.flat)
+        params._grads = Gradients(params, flat), {comp: params.slots(comp, flat) for comp in COMPONENTS}
+    grads, slots = params._grads
+    flat, weights = grads.flat, params._weights
     z_grad = None  # gradient at E(o_t)
-    if fwd.dyn_residual is not None:
-        dyn_grad = _mse_grad(fwd.dyn_residual, 1.0)
-        z_grad = _backprop(params.dynamics, fwd.dynamics, dyn_grad, slots("dynamics"))[:, : params.config.latent_dim]
+    if dyn is not None:
+        dyn_grad = _mse_grad(dyn, 1.0)
+        z_grad = _backprop(weights["dynamics"], dyn_cache, dyn_grad, slots["dynamics"])
+        z_grad = z_grad[:, : params.config.latent_dim]
     else:
-        skip("dynamics")
-    if fwd.aux_residual is not None:
-        aux_in = _backprop(params.aux_head, fwd.aux_head, _mse_grad(fwd.aux_residual, c_p), slots("aux_head"))
+        flat[params.segment("dynamics")] = 0.0
+    if aux is not None:
+        aux_in = _backprop(weights["aux_head"], aux_cache, _mse_grad(aux, c_p), slots["aux_head"])
         z_grad = aux_in if z_grad is None else z_grad + aux_in
     else:
-        skip("aux_head")
-    if fwd.dec_residual is not None:
-        _backprop(params.decoder_probe, fwd.decoder_probe, _mse_grad(fwd.dec_residual, 1.0),
-                  slots("decoder_probe"), input_grad=False)
+        flat[params.segment("aux_head")] = 0.0
+    if dec is not None:
+        _backprop(weights["decoder_probe"], dec_cache, _mse_grad(dec, 1.0), slots["decoder_probe"],
+                  input_grad=False)
     else:
-        skip("decoder_probe")
+        flat[params.segment("decoder_probe")] = 0.0
     if z_grad is None:
-        skip("encoder")
+        flat[params.segment("encoder")] = 0.0
     else:
-        enc = slots("encoder")
-        _backprop(params.encoder, fwd.encoder_t, z_grad, enc, input_grad=False)
-        if fwd.dyn_residual is not None:
-            _backprop(params.encoder, fwd.encoder_next, -dyn_grad, enc, accumulate=True, input_grad=False)
+        enc = slots["encoder"]
+        _backprop(weights["encoder"], enc_t, z_grad, enc, input_grad=False)
+        if dyn is not None:
+            _backprop(weights["encoder"], enc_next, -dyn_grad, enc, accumulate=True, input_grad=False)
     return report, grads

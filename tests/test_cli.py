@@ -76,8 +76,16 @@ def test_bisim_requires_source(tmp_path, capsys):
 def test_bisim_bad_mdp_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run(["bisim", "--mdp", str(bad), "--out-dir", str(tmp_path)], capsys)
+    code, _, err = run(["bisim", "--mdp", str(bad), "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_bisim_missing_mdp_file_exits_2(tmp_path, capsys):
+    code, _, err = run(["bisim", "--mdp", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_collect_then_empirical_bisim(tmp_path, capsys):
@@ -306,6 +314,7 @@ def test_bad_checkpoint_exits_2(tmp_path, capsys, tabular_checkpoint, command, d
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("counting", [("3", "1"), ("20", "1")])
@@ -316,6 +325,7 @@ def test_verify_one_hot_checkpoint_that_does_not_fit_exits_2(tmp_path, capsys, t
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: checkpoint encodes 9 one-hot observations")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_reads_the_partition_not_the_fixed_point(tmp_path, capsys, tabular_checkpoint, monkeypatch):
@@ -339,6 +349,7 @@ def test_bisim_mdp_missing_key_exits_2(tmp_path, capsys, key):
     code, _, err = run(["bisim", "--mdp", str(path), "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -361,6 +372,7 @@ def test_empirical_bisim_bad_dataset_exits_2(tmp_path, capsys, collected_dir, da
     code, _, err = run(["empirical-bisim", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def _image_checkpoint(tmp_path, capsys, dataset):
@@ -397,6 +409,7 @@ def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command,
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected_dir):
@@ -408,6 +421,7 @@ def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected
                         "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err == f"error: observation id {top} is out of range for an MDP with {top} observations\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
@@ -419,6 +433,7 @@ def test_image_checkpoint_without_dataset_exits_2(tmp_path, capsys, collected_di
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err == "error: image checkpoints need --dataset\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_sets_the_chosen_subcommand_defaults(tmp_path, capsys):
@@ -585,3 +600,20 @@ def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
     code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bisim_and_verify_do_not_load_numpy_ma(tmp_path, tabular_checkpoint):
+    """numpy.ma takes 10-15 ms to import; neither command needs it."""
+    script = (
+        "import sys\n"
+        "from bisimlab.cli import main\n"
+        f"assert main(['bisim', '--counting', '8', '4', '--out-dir', {str(tmp_path / 'bisim')!r}]) == 0\n"
+        f"assert main(['verify', '--checkpoint', {str(tabular_checkpoint)!r}, '--counting', '8', '4',"
+        f" '--out-dir', {str(tmp_path / 'verify')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(bisimlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

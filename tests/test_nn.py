@@ -189,3 +189,17 @@ def test_params_are_views_into_one_flat_buffer():
     twin.encoder[0].W.data[0, 0] += 1.0
     assert twin.flat[0] == params.flat[0] + 1.0
     assert np.array_equal(twin.flat[1:], params.flat[1:])
+
+
+def test_each_call_rewrites_the_whole_gradient_buffer():
+    """loss_and_grads reuses one gradient buffer per model: a call must not
+    see what an earlier call with other loss flags or another batch left."""
+    rng = np.random.default_rng(9)
+    params = init_params(tiny_config(), rng)
+    flags = [(True, True, True), (False, True, False), (True, False, True), (True, True, False)]
+    for dyn, aux, dec in flags + flags[::-1]:
+        batch = tiny_batch(rng)
+        _, grads = loss_and_grads(params, batch, 0.7, dyn, aux, dec)
+        _, want = loss_and_grads(params.copy(), batch, 0.7, dyn, aux, dec)
+        assert grads.flat.tobytes() == want.flat.tobytes()
+    assert loss_and_grads(params, batch)[1] is grads  # the same buffer, rewritten

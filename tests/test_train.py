@@ -37,6 +37,28 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
+def test_each_step_calls_loss_and_grads_and_adam_step_once_through_the_module(monkeypatch):
+    """Per-step tracing wraps these two module attributes, so train() must
+    look them up on bisimlab.train at every step."""
+    import bisimlab.train as train_module
+
+    calls = {"loss_and_grads": 0, "adam_step": 0}
+
+    def counting(name):
+        original = getattr(train_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(train_module, name, counting(name))
+    train(small_config(steps=7, eval_every=3), tabular_train_data(counting_abstract_mdp(4, 2)))
+    assert calls == {"loss_and_grads": 7, "adam_step": 7}
+
+
 def test_tabular_train_data_shapes():
     mdp = counting_abstract_mdp()
     data = tabular_train_data(mdp)
