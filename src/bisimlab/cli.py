@@ -205,13 +205,13 @@ def cmd_train(args) -> int:
             data = preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         result = train(config, data)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     ckpt_path, metrics_path = out / "checkpoint.pjpa", out / "metrics.jsonl"
     save_checkpoint(result.best_params, model_config_echo(result.best_params, config), str(ckpt_path))
     result.write_metrics_jsonl(str(metrics_path))

@@ -177,6 +177,7 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     )
     assert code == 4
     assert "diverged" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_reruns_identical(tmp_path, capsys):
