@@ -1,6 +1,11 @@
-"""bisimlab: finite-MDP bisimulations, latent-dynamics training, collapse diagnostics."""
+"""bisimlab: finite-MDP bisimulations, latent-dynamics training, collapse diagnostics.
 
+Importing the package runs none of its modules; each runs at its first attribute access.
+"""
+
+import importlib.util
 import os
+import sys
 
 # BISIMLAB_THREADS caps BLAS threads. OpenBLAS and MKL read their variables once,
 # when numpy loads, so they are set here, before any submodule imports numpy.
@@ -8,34 +13,33 @@ if os.environ.get("BISIMLAB_THREADS"):
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["BISIMLAB_THREADS"])
 
-from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp, random_mdp, validate_mdp
-from bisimlab.relation import PairRelation, Partition
-from bisimlab.bisim import (
-    apply_F,
-    distinguishing_oracle,
-    empirical_apply_F,
-    empirical_lfp,
-    least_fixed_point,
-    partition_refine,
-    quotient,
-)
-from bisimlab.dataset import TransitionDataset
+# Dependents first: bench/tracing.py runs the lazy modules in sys.modules order
+# while it wraps functions, so a module that imports a name from another runs
+# before that name is wrapped. cli is left eager, for `python -m bisimlab.cli`.
+for _name in ("presets", "fixtures", "train", "optim", "nn", "analysis", "counting_env",
+              "bisim", "dataset", "relation", "mdp"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
 
-__all__ = [
-    "DeterministicMDP",
-    "PairRelation",
-    "Partition",
-    "TransitionDataset",
-    "apply_F",
-    "counting_abstract_mdp",
-    "distinguishing_oracle",
-    "empirical_apply_F",
-    "empirical_lfp",
-    "least_fixed_point",
-    "partition_refine",
-    "quotient",
-    "random_mdp",
-    "validate_mdp",
-]
+_EXPORTS = {
+    "mdp": ("DeterministicMDP", "counting_abstract_mdp", "random_mdp", "validate_mdp"),
+    "relation": ("PairRelation", "Partition"),
+    "bisim": ("apply_F", "distinguishing_oracle", "empirical_apply_F", "empirical_lfp",
+              "least_fixed_point", "partition_refine", "quotient"),
+    "dataset": ("TransitionDataset",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

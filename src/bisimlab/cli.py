@@ -19,22 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from bisimlab import analysis, bisim
-from bisimlab.counting_env import CollectedData, CountingEnvConfig, collect_dataset
+from bisimlab import analysis, bisim, counting_env, nn, presets, train as training
 from bisimlab.dataset import load_dataset, load_frame_sidecar, parse_ppm, save_dataset, save_frame_sidecar
 from bisimlab.mdp import counting_abstract_mdp, load_mdp_json, validate_mdp
-from bisimlab.nn import encode
-from bisimlab.presets import PRESET_NAMES, preset_data, preset_env_config, preset_train_config
 from bisimlab.relation import write_partition_csv, write_relation_csv
-from bisimlab.train import (
-    DivergenceError,
-    TrainConfig,
-    collected_train_data,
-    load_checkpoint,
-    model_config_echo,
-    save_checkpoint,
-    train,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -140,8 +128,8 @@ def cmd_empirical_bisim(args) -> int:
     return EXIT_OK
 
 
-def _env_config(args) -> CountingEnvConfig:
-    return CountingEnvConfig(
+def _env_config(args) -> counting_env.CountingEnvConfig:
+    return counting_env.CountingEnvConfig(
         max_count=args.max_count,
         target_n=args.target_n,
         image_size=args.image_size,
@@ -153,8 +141,8 @@ def _env_config(args) -> CountingEnvConfig:
 def cmd_collect(args) -> int:
     try:
         config = _env_config(args)
-        collected = collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
-                                    rng=np.random.default_rng(args.seed))
+        collected = counting_env.collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
+                                                 rng=np.random.default_rng(args.seed))
     except ValueError as exc:
         return _input_error(exc)
     out = Path(args.out_dir)
@@ -169,7 +157,7 @@ def cmd_collect(args) -> int:
     return EXIT_OK
 
 
-def _load_collected(dataset_path: str, channels: int) -> CollectedData:
+def _load_collected(dataset_path: str, channels: int) -> counting_env.CollectedData:
     """The dataset and its frames.bsli; OSError or ValueError when either is missing or malformed."""
     ds = load_dataset(dataset_path)
     frames_path = str(Path(dataset_path).with_name("frames.bsli"))
@@ -178,11 +166,11 @@ def _load_collected(dataset_path: str, channels: int) -> CollectedData:
         raise ValueError(f"{frames_path}: {len(blobs)} frames for {len(ds)} records")
     src = np.stack([parse_ppm(blobs[2 * k], channels) for k in range(len(ds))])
     succ = np.stack([parse_ppm(blobs[2 * k + 1], channels) for k in range(len(ds))])
-    return CollectedData(dataset=ds, source_frames=src, successor_frames=succ)
+    return counting_env.CollectedData(dataset=ds, source_frames=src, successor_frames=succ)
 
 
 def cmd_train(args) -> int:
-    config_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    config_fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
     overrides = {
         k: v for k, v in getattr(args, "config_extras", {}).items() if k in config_fields
     }
@@ -197,26 +185,27 @@ def cmd_train(args) -> int:
     if args.no_dyn_loss:
         overrides["dyn_loss_enabled"] = False
     try:
-        config = preset_train_config(args.preset, args.seed, **overrides)
+        config = presets.preset_train_config(args.preset, args.seed, **overrides)
         if args.dataset is not None:
-            env = preset_env_config(args.preset, args.seed)
-            data = collected_train_data(_load_collected(args.dataset, env.channels))
+            env = presets.preset_env_config(args.preset, args.seed)
+            data = training.collected_train_data(_load_collected(args.dataset, env.channels))
         else:
-            data = preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
+            data = presets.preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     try:
-        result = train(config, data)
-    except DivergenceError as exc:
+        result = training.train(config, data)
+    except training.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path, metrics_path = out / "checkpoint.pjpa", out / "metrics.jsonl"
-    save_checkpoint(result.best_params, model_config_echo(result.best_params, config), str(ckpt_path))
+    echo = training.model_config_echo(result.best_params, config)
+    training.save_checkpoint(result.best_params, echo, str(ckpt_path))
     result.write_metrics_jsonl(str(metrics_path))
     _write_manifest(out, {"command": "train", "preset": args.preset, "seed": args.seed,
-                          "train_config": model_config_echo(result.best_params, config)["train_config"]},
+                          "train_config": echo["train_config"]},
                     [ckpt_path, metrics_path])
     print(json.dumps({"best_centroid_acc": result.best_centroid_acc,
                       "final": result.metrics[-1] if result.metrics else None}))
@@ -243,13 +232,13 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
         obs = collected.source_frames[idx].astype(np.float64) / 255.0
         labels = collected.dataset.sources[idx]
         source_ids = labels
-    vectors = encode(params, obs)
+    vectors = nn.encode(params, obs)
     return analysis.EmbeddingSet(vectors=vectors, labels=labels, source_ids=source_ids)
 
 
 def cmd_analyze(args) -> int:
     try:
-        params, _ = load_checkpoint(args.checkpoint)
+        params, _ = training.load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         proj, fractions, _ = analysis.pca_2d(embs)
     except (OSError, ValueError) as exc:
@@ -303,7 +292,7 @@ def cmd_verify(args) -> int:
         print("error: one of --mdp / --counting is required", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        params, _ = load_checkpoint(args.checkpoint)
+        params, _ = training.load_checkpoint(args.checkpoint)
         mdp = _load_mdp(args)
         embs = _embeddings_for_checkpoint(args, params)
         _check_fits_mdp(params, embs, mdp.num_observations)
@@ -356,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a preset")
     add_common(p)
-    p.add_argument("--preset", choices=PRESET_NAMES, default="tabular_counting")
+    p.add_argument("--preset", choices=presets.PRESET_NAMES, default="tabular_counting")
     p.add_argument("--steps", type=int)
     p.add_argument("--c-p", type=float)
     p.add_argument("--latent-dim", type=int)
@@ -399,7 +388,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
     values = {key.replace("-", "_"): value for key, value in values.items()}
     (subparsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {a.dest for a in sub._actions if a.dest != "help"} for name, sub in subparsers.items()}
-    known = set().union(*flags.values(), (f.name for f in dataclasses.fields(TrainConfig)))
+    known = set().union(*flags.values(), (f.name for f in dataclasses.fields(training.TrainConfig)))
     unknown = sorted(set(values) - known)
     if unknown:
         raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
@@ -412,7 +401,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
         _check_flag(args.config, action, values[action.dest])
     subparsers[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
     args = parser.parse_args(argv)
-    types = typing.get_type_hints(TrainConfig)
+    types = typing.get_type_hints(training.TrainConfig)
     args.config_extras = {k: _typed(args.config, k, v, types.get(k)) for k, v in values.items() if k not in own}
     return args
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bisimlab.counting_env import CollectedData, CountingEnvConfig, collect_dataset
-from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp
-from bisimlab.train import TrainConfig, TrainData, collected_train_data, tabular_train_data
+from bisimlab import counting_env, mdp, train as training
 
 PRESET_NAMES = ("tabular_counting", "reward_aux", "random_aux", "reward_only", "dyn_only")
 
@@ -24,15 +22,15 @@ IMAGE_COLLECT_STEPS = 6000
 IMAGE_ACTION_REPEAT = 4
 
 
-def preset_env_config(name: str, seed: int) -> CountingEnvConfig:
-    return CountingEnvConfig(max_count=8, target_n=4, image_size=32, channels=1, seed=seed)
+def preset_env_config(name: str, seed: int) -> counting_env.CountingEnvConfig:
+    return counting_env.CountingEnvConfig(max_count=8, target_n=4, image_size=32, channels=1, seed=seed)
 
 
-def preset_train_config(name: str, seed: int, **overrides) -> TrainConfig:
+def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConfig:
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if name == "tabular_counting":
-        base = TrainConfig(
+        base = training.TrainConfig(
             c_p=1.0,
             latent_dim=32,
             steps=20_000,
@@ -46,7 +44,7 @@ def preset_train_config(name: str, seed: int, **overrides) -> TrainConfig:
             eval_every=500,
         )
     else:
-        base = TrainConfig(
+        base = training.TrainConfig(
             c_p=30.0,
             latent_dim=32,
             steps=20_000,
@@ -71,18 +69,18 @@ def preset_train_config(name: str, seed: int, **overrides) -> TrainConfig:
 
 @dataclass
 class PresetData:
-    train_data: TrainData
-    mdp: DeterministicMDP
-    collected: CollectedData | None = None
+    train_data: training.TrainData
+    mdp: mdp.DeterministicMDP
+    collected: counting_env.CollectedData | None = None
 
 
 def preset_data(name: str, seed: int, collect_steps: int | None = None) -> PresetData:
     """Materialize the data a preset trains on (tabular tables or rollouts)."""
-    mdp = counting_abstract_mdp(8, 4)
+    abstract = mdp.counting_abstract_mdp(8, 4)
     if name == "tabular_counting":
-        return PresetData(train_data=tabular_train_data(mdp), mdp=mdp)
+        return PresetData(train_data=training.tabular_train_data(abstract), mdp=abstract)
     env = preset_env_config(name, seed)
     steps = collect_steps if collect_steps is not None else IMAGE_COLLECT_STEPS
-    collected = collect_dataset(env, steps=steps, action_repeat=IMAGE_ACTION_REPEAT,
-                                rng=np.random.default_rng(seed))
-    return PresetData(train_data=collected_train_data(collected), mdp=mdp, collected=collected)
+    collected = counting_env.collect_dataset(env, steps=steps, action_repeat=IMAGE_ACTION_REPEAT,
+                                             rng=np.random.default_rng(seed))
+    return PresetData(train_data=training.collected_train_data(collected), mdp=abstract, collected=collected)

@@ -271,7 +271,7 @@ def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypat
         seen.append(collected)
         return collected_train_data(collected)
 
-    monkeypatch.setattr(cli, "collected_train_data", spy)
+    monkeypatch.setattr(bisimlab.train, "collected_train_data", spy)
     code, _, _ = run(["train", "--preset", "reward_aux", "--dataset", str(data_dir / "dataset.bslb"),
                       "--steps", "2", "--out-dir", str(tmp_path / "run")], capsys)
     assert code == 0
