@@ -37,19 +37,11 @@ def aux_labels(aux: np.ndarray, tol: float = 0.0) -> np.ndarray:
     observations when the largest absolute difference of their aux vectors
     is at most `tol`, so the grouping is transitive and does not depend on
     the order of the observations. At tol 0 the labels are the ranks of the
-    distinct aux rows; otherwise components are numbered by first occurrence.
+    distinct aux rows.
     """
     if tol == 0.0:
         _, labels = np.unique(aux, axis=0, return_inverse=True)
         return labels.reshape(-1).astype(np.int64)
-    if aux.shape[1] == 1 and tol < np.inf:
-        # runs of the sorted values, split where a gap is not <= tol, so NaN and +-inf join nothing as
-        # below; at tol inf the dense form joins equal infinities through a finite value (gap NaN here)
-        order = np.argsort(aux[:, 0])
-        run = np.zeros(len(order), dtype=np.int64)
-        run[order[1:]] = np.cumsum(~(np.diff(aux[order, 0]) <= tol))
-        _, first, inverse = np.unique(run, return_index=True, return_inverse=True)
-        return np.argsort(np.argsort(first))[inverse]
     close = np.abs(aux[:, None, :] - aux[None, :, :]).max(axis=2) <= tol
     labels = np.full(aux.shape[0], -1, dtype=np.int64)
     components = 0

@@ -262,23 +262,6 @@ def test_aux_labels_tolerance_is_transitive_and_order_free():
     assert aux_disagreement(aux, 0.5).tolist() == (labels[:, None] != labels[None, :]).tolist()
 
 
-def test_aux_labels_one_dimension_matches_the_dense_form():
-    """The sorted 1-D path against the n x n form, reached through a copied column."""
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        n = int(rng.integers(0, 40))
-        x = rng.normal(scale=rng.choice([0.1, 1.0, 10.0]), size=n)
-        if rng.random() < 0.5:  # ties
-            x = np.round(x, int(rng.integers(0, 2)))
-        if n:
-            special = int(rng.integers(0, 4))
-            x[rng.integers(0, n, size=special)] = rng.choice([np.nan, np.inf, -np.inf], size=special)
-        tol = float(rng.choice([1e-9, 0.05, 0.3, 1.0, 2.5, np.inf]))
-        with np.errstate(invalid="ignore"):
-            got, dense = aux_labels(x[:, None], tol), aux_labels(np.column_stack([x, x]), tol)
-        assert got.dtype == np.int64 and got.tolist() == dense.tolist(), (x, tol)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
 def test_oracle_triangle_with_aux_tol(seed, tol):

@@ -13,7 +13,8 @@ import pytest
 import bisimlab
 from bisimlab import cli
 from bisimlab.cli import main
-from bisimlab.mdp import random_mdp, save_mdp_json
+from bisimlab.dataset import TransitionDataset, save_dataset
+from bisimlab.mdp import counting_abstract_mdp, random_mdp, save_mdp_json
 from bisimlab.train import collected_train_data
 
 
@@ -286,7 +287,6 @@ def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypat
 @pytest.fixture
 def tabular_checkpoint(tmp_path):
     from bisimlab.fixtures import perfect_fit_params
-    from bisimlab.mdp import counting_abstract_mdp
     from bisimlab.train import TrainConfig, model_config_echo, save_checkpoint
 
     params = perfect_fit_params(counting_abstract_mdp(8, 4))
@@ -604,17 +604,76 @@ def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
     assert not (tmp_path / "out").exists()
 
 
+SRC = str(Path(bisimlab.__file__).resolve().parents[1])
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+TRAINING_STACK = ("nn", "optim", "train", "analysis", "counting_env")
+
+
+def python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_bisim_and_verify_do_not_load_numpy_ma(tmp_path, tabular_checkpoint):
-    """numpy.ma takes 10-15 ms to import; neither command needs it."""
+    """numpy.ma takes 10-15 ms to import; neither command needs it. --help and the
+    two bisim commands also leave the training stack unrun."""
+    mdp = counting_abstract_mdp(8, 4)
+    src, act = np.divmod(np.arange(mdp.num_observations * mdp.num_actions), mdp.num_actions)
+    dataset = tmp_path / "dataset.bslb"
+    save_dataset(TransitionDataset(mdp.num_observations, mdp.num_actions, src, act,
+                                   mdp.transition[src, act], mdp.aux[src]), str(dataset))
     script = (
-        "import sys\n"
+        "import sys, types\n"
         "from bisimlab.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
         f"assert main(['bisim', '--counting', '8', '4', '--out-dir', {str(tmp_path / 'bisim')!r}]) == 0\n"
+        f"assert main(['empirical-bisim', '--dataset', {str(dataset)!r},"
+        f" '--out-dir', {str(tmp_path / 'empirical')!r}]) == 0\n"
+        # type() reads the class without the attribute access that would run a lazy module
+        "ran = {name.removeprefix('bisimlab.') for name, module in sys.modules.items()\n"
+        "       if name.startswith('bisimlab.') and type(module) is types.ModuleType}\n"
+        f"assert not ran & set({TRAINING_STACK!r}), sorted(ran)\n"
+        "assert {'cli', 'mdp', 'dataset', 'relation', 'bisim'} <= ran, sorted(ran)\n"
         f"assert main(['verify', '--checkpoint', {str(tabular_checkpoint)!r}, '--counting', '8', '4',"
         f" '--out-dir', {str(tmp_path / 'verify')!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    src = str(Path(bisimlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = python("-c", script)
     assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point_runs_without_warnings():
+    done = python("-W", "error", "-m", "bisimlab.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: bisimlab")
+
+
+def test_tracing_leaves_no_wrapper_bound_in_lazily_loaded_modules():
+    """bench/tracing.py runs the lazy modules while it wraps functions; a module
+    that imported a name only after it was wrapped would keep the wrapper."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {BENCH!r})\n"
+        "import bisimlab\n"
+        "import tracing\n"
+        "for _ in range(2):\n"
+        "    with tracing.installed(tracing.Tracer()):\n"
+        "        pass\n"
+        "def traced(value):\n"
+        "    return getattr(getattr(value, '__code__', None), 'co_name', None) == 'traced'\n"
+        "left = []\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name == 'bisimlab' or name.startswith('bisimlab.'):\n"
+        "        for key, value in vars(module).items():\n"
+        "            if traced(value):\n"
+        "                left.append(f'{name}.{key}')\n"
+        "            elif isinstance(value, type):\n"
+        "                left += [f'{name}.{key}.{k}' for k, v in vars(value).items() if traced(v)]\n"
+        "print(sorted(set(left)))\n"
+    )
+    done = python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
