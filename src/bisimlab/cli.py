@@ -170,20 +170,9 @@ def _load_collected(dataset_path: str, channels: int) -> counting_env.CollectedD
 
 
 def cmd_train(args) -> int:
-    config_fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
-    overrides = {
-        k: v for k, v in getattr(args, "config_extras", {}).items() if k in config_fields
-    }
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.c_p is not None:
-        overrides["c_p"] = args.c_p
-    if args.latent_dim is not None:
-        overrides["latent_dim"] = args.latent_dim
-    if args.aux is not None:
-        overrides["aux_mode"] = args.aux
-    if args.no_dyn_loss:
-        overrides["dyn_loss_enabled"] = False
+    flags = {"steps": args.steps, "c_p": args.c_p, "latent_dim": args.latent_dim, "aux_mode": args.aux,
+             "dyn_loss_enabled": False if args.no_dyn_loss else None}
+    overrides = {**args.config_extras, **{k: v for k, v in flags.items() if v is not None}}
     try:
         config = presets.preset_train_config(args.preset, args.seed, **overrides)
         if args.dataset is not None:
@@ -201,8 +190,8 @@ def cmd_train(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path, metrics_path = out / "checkpoint.pjpa", out / "metrics.jsonl"
-    echo = training.model_config_echo(result.best_params, config)
-    training.save_checkpoint(result.best_params, echo, str(ckpt_path))
+    echo = nn.model_config_echo(result.best_params, config)
+    nn.save_checkpoint(result.best_params, echo, str(ckpt_path))
     result.write_metrics_jsonl(str(metrics_path))
     _write_manifest(out, {"command": "train", "preset": args.preset, "seed": args.seed,
                           "train_config": echo["train_config"]},
@@ -238,7 +227,7 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
 
 def cmd_analyze(args) -> int:
     try:
-        params, _ = training.load_checkpoint(args.checkpoint)
+        params, _ = nn.load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         proj, fractions, _ = analysis.pca_2d(embs)
     except (OSError, ValueError) as exc:
@@ -292,7 +281,7 @@ def cmd_verify(args) -> int:
         print("error: one of --mdp / --counting is required", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        params, _ = training.load_checkpoint(args.checkpoint)
+        params, _ = nn.load_checkpoint(args.checkpoint)
         mdp = _load_mdp(args)
         embs = _embeddings_for_checkpoint(args, params)
         _check_fits_mdp(params, embs, mdp.num_observations)
@@ -378,21 +367,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
                        args: argparse.Namespace) -> argparse.Namespace:
     """Parse again with the --config file's keys as the chosen subcommand's
     defaults, so flags given on the command line win. Keys that name no flag
-    of that subcommand are kept in `config_extras` (train reads its TrainConfig
-    fields there, lists as tuples). ValueError on a key that is neither a flag
-    of any subcommand nor a TrainConfig field, and on a value of the wrong
-    JSON type for its flag or TrainConfig field."""
+    of that subcommand are checked against TrainConfig (read only then, so a
+    file of flags alone runs no training module), and the TrainConfig fields
+    among them are kept in `config_extras` for train, lists as tuples.
+    ValueError on a key that is neither a flag of any subcommand nor a
+    TrainConfig field, and on a value of the wrong JSON type for its flag or
+    TrainConfig field."""
     values = json.loads(Path(args.config).read_text())
     if not isinstance(values, dict):
         raise ValueError(f"{args.config}: not a JSON object")
     values = {key.replace("-", "_"): value for key, value in values.items()}
     (subparsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {a.dest for a in sub._actions if a.dest != "help"} for name, sub in subparsers.items()}
-    known = set().union(*flags.values(), (f.name for f in dataclasses.fields(training.TrainConfig)))
-    unknown = sorted(set(values) - known)
+    own = flags[args.command]
+    fields = typing.get_type_hints(training.TrainConfig) if set(values) - own else {}
+    unknown = sorted(set(values) - set().union(*flags.values(), fields))
     if unknown:
         raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
-    own = flags[args.command]
     for action in subparsers[args.command]._actions:
         if action.dest not in values:
             continue
@@ -401,8 +392,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
         _check_flag(args.config, action, values[action.dest])
     subparsers[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
     args = parser.parse_args(argv)
-    types = typing.get_type_hints(training.TrainConfig)
-    args.config_extras = {k: _typed(args.config, k, v, types.get(k)) for k, v in values.items() if k not in own}
+    args.config_extras = {k: _typed(args.config, k, v, fields[k]) for k, v in values.items()
+                          if k in fields and k not in own}
     return args
 
 

@@ -8,14 +8,17 @@ model or taking an Adam step is one pass over one array. Gradients are a
 buffer laid out the same way. `joint_loss` is the forward pass: it keeps each
 layer's input and pre-activation, and `loss_and_grads` runs the backward over
 them. The decoder probe reconstructs observations from detached latents, so
-its loss never reaches the encoder.
+its loss never reaches the encoder. A .pjpa checkpoint holds a JSON echo of
+the configs and the tensors, in `param_shapes` order.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -377,3 +380,80 @@ def loss_and_grads(
         if dyn is not None:
             _backprop(weights["encoder"], enc_next, -dyn_grad, enc, accumulate=True, input_grad=False)
     return report, grads
+
+
+# --- checkpoint file format (.pjpa) ---
+
+CHECKPOINT_MAGIC = b"PJPA"
+CHECKPOINT_VERSION = 1
+
+
+def save_checkpoint(params: ModelParams, config_echo: dict, path: str) -> None:
+    blob = json.dumps(config_echo, sort_keys=True).encode()
+    named = params.named_parameters()
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(named)))
+        for name, p in named:
+            name_b = name.encode()
+            fh.write(struct.pack("<H", len(name_b)))
+            fh.write(name_b)
+            fh.write(struct.pack("<B", p.data.ndim))
+            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+            fh.write(p.data.astype("<f4").tobytes())
+
+
+def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
+    """Read a checkpoint. A malformed file (bad magic or version, a truncated
+    or unparsable part, tensors that do not fit its model config, trailing
+    bytes) raises ValueError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    pos = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + size > len(raw):
+            raise ValueError(f"{path}: truncated {what}")
+        pos += size
+        return raw[pos - size : pos]
+
+    if take(4, "magic") != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic")
+    version, blob_len = struct.unpack("<II", take(8, "header"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    config_echo = json.loads(take(blob_len, "config echo").decode())
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "tensor header"))
+        name = take(name_len, "tensor name").decode()
+        (ndim,) = struct.unpack("<B", take(1, "tensor header"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
+        data = take(4 * math.prod(shape), f"tensor {name}")
+        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
+    names = {f.name for f in fields(ModelConfig)}
+    try:
+        mc = config_echo["model_config"]
+        if set(mc) != names:
+            raise KeyError(f"model_config keys {sorted(mc)}, expected {sorted(names)}")
+        model_config = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in mc.items()})
+        return ModelParams.from_arrays(model_config, tensors), config_echo
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad model config: {exc!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _json_fields(config) -> dict:
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(config).items()}
+
+
+def model_config_echo(params: ModelParams, train_config) -> dict:
+    """What a checkpoint echoes: its model config and the training config (a dataclass) behind it."""
+    return {"model_config": _json_fields(params.config), "train_config": _json_fields(train_config)}

@@ -1,22 +1,29 @@
 """Experiment presets wiring environments, data collection, and training.
 
-Presets expand to fully specified configs; explicit overrides win. The
-reward_aux preset weights the auxiliary loss heavily (c_p 30); lighter weights
-let the dynamics loss collapse the encoder before the reward signal anchors
-it. The reward_only preset drops the base learning rate to 1e-5, which is
-what keeps that configuration from diverging.
+A preset is what it changes from TrainConfig's defaults; explicit overrides
+win. The reward_aux preset weights the auxiliary loss heavily (c_p 30);
+lighter weights let the dynamics loss collapse the encoder before the reward
+signal anchors it. The reward_only preset drops the base learning rate to
+1e-5, which is what keeps that configuration from diverging.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from bisimlab import counting_env, mdp, train as training
 
-PRESET_NAMES = ("tabular_counting", "reward_aux", "random_aux", "reward_only", "dyn_only")
+PRESETS = {
+    "tabular_counting": dict(steps=20_000, encoder_hidden=(64,), dynamics_hidden=64, aux_hidden=64,
+                             decoder_hidden=(64,)),
+    "reward_aux": dict(steps=20_000, c_p=30.0),
+    "random_aux": dict(steps=6000, c_p=30.0, aux_mode="random:64"),
+    "reward_only": dict(steps=8000, dyn_loss_enabled=False, base_lr=1e-5),
+    "dyn_only": dict(steps=3000, aux_mode="none"),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 IMAGE_COLLECT_STEPS = 6000
 IMAGE_ACTION_REPEAT = 4
@@ -27,44 +34,9 @@ def preset_env_config(name: str, seed: int) -> counting_env.CountingEnvConfig:
 
 
 def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConfig:
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if name == "tabular_counting":
-        base = training.TrainConfig(
-            c_p=1.0,
-            latent_dim=32,
-            steps=20_000,
-            batch_size=64,
-            seed=seed,
-            aux_mode="reward",
-            encoder_hidden=(64,),
-            dynamics_hidden=64,
-            aux_hidden=64,
-            decoder_hidden=(64,),
-            eval_every=500,
-        )
-    else:
-        base = training.TrainConfig(
-            c_p=30.0,
-            latent_dim=32,
-            steps=20_000,
-            batch_size=64,
-            seed=seed,
-            aux_mode="reward",
-            encoder_hidden=(128, 64),
-            dynamics_hidden=128,
-            aux_hidden=128,
-            decoder_hidden=(128,),
-            eval_every=500,
-        )
-        if name == "random_aux":
-            base = dataclasses.replace(base, aux_mode="random:64", steps=6000)
-        elif name == "dyn_only":
-            base = dataclasses.replace(base, aux_mode="none", c_p=1.0, steps=3000)
-        elif name == "reward_only":
-            base = dataclasses.replace(base, dyn_loss_enabled=False, c_p=1.0,
-                                       base_lr=1e-5, steps=8000)
-    return dataclasses.replace(base, **overrides)
+    return training.TrainConfig(**{**PRESETS[name], "seed": seed, **overrides})
 
 
 @dataclass

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +16,10 @@ from bisimlab.analysis import nearest_centroid_accuracy
 from bisimlab.counting_env import CollectedData
 from bisimlab.mdp import DeterministicMDP
 from bisimlab.nn import Batch, ModelConfig, ModelParams, encode, init_params, loss_and_grads
+# the .pjpa checkpoint format lives in nn, beside the model layout; its entry points stay
+# importable here, where the tests and bench/ (checks.py reads, tracing.py wraps the writer) find them
+from bisimlab.nn import load_checkpoint, model_config_echo, save_checkpoint  # noqa: F401
 from bisimlab.optim import AdamState, adam_step
-
-CHECKPOINT_MAGIC = b"PJPA"
-CHECKPOINT_VERSION = 1
 
 
 class DivergenceError(RuntimeError):
@@ -55,9 +53,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.c_p < 0:
             raise ValueError("c_p must be >= 0")
-        for name in ("batch_size", "steps", "replay_capacity", "eval_every", "report_every", "eval_size"):
+        for name in ("batch_size", "steps", "replay_capacity", "eval_every", "report_every", "eval_size",
+                     "latent_dim", "dynamics_hidden", "aux_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("encoder_hidden", "decoder_hidden"):  # empty is legal: no hidden layer
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"every {name} width must be >= 1")
         if self.aux_mode not in ("reward", "none") and self.random_aux_dim() is None:
             raise ValueError(f"aux_mode must be reward, none or random:<dim> with dim >= 1, got {self.aux_mode!r}")
         if not self.dyn_loss_enabled and self.aux_mode == "none":
@@ -249,76 +251,3 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     return TrainResult(
         params=params, best_params=best_params, best_centroid_acc=best_acc, metrics=metrics
     )
-
-
-# --- checkpoint file format ---
-
-
-def save_checkpoint(params: ModelParams, config_echo: dict, path: str) -> None:
-    blob = json.dumps(config_echo, sort_keys=True).encode()
-    named = params.named_parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(named)))
-        for name, p in named:
-            name_b = name.encode()
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            fh.write(p.data.astype("<f4").tobytes())
-
-
-def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Read a checkpoint. A malformed file (bad magic or version, a truncated
-    or unparsable part, tensors that do not fit its model config, trailing
-    bytes) raises ValueError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    pos = 0
-
-    def take(size: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + size > len(raw):
-            raise ValueError(f"{path}: truncated {what}")
-        pos += size
-        return raw[pos - size : pos]
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic")
-    version, blob_len = struct.unpack("<II", take(8, "header"))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    config_echo = json.loads(take(blob_len, "config echo").decode())
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "tensor header"))
-        name = take(name_len, "tensor name").decode()
-        (ndim,) = struct.unpack("<B", take(1, "tensor header"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
-        data = take(4 * math.prod(shape), f"tensor {name}")
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
-    if pos != len(raw):
-        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    try:
-        mc = config_echo["model_config"]
-        if set(mc) != fields:
-            raise KeyError(f"model_config keys {sorted(mc)}, expected {sorted(fields)}")
-        model_config = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in mc.items()})
-        return ModelParams.from_arrays(model_config, tensors), config_echo
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: bad model config: {exc!r}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _json_fields(config) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(config).items()}
-
-
-def model_config_echo(params: ModelParams, train_config: TrainConfig) -> dict:
-    return {"model_config": _json_fields(params.config), "train_config": _json_fields(train_config)}

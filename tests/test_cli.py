@@ -584,6 +584,11 @@ def test_aux_tol_outside_its_domain_exits_2(tmp_path, capsys, command, flag, con
     [{"base_lr": None}, "train"],
     [{"latent_dim": 2.5}, "train"],
     [{"image_size": 16.5}, "collect"],
+    # model widths below 1
+    ["train", "--latent-dim", "-1"],
+    ["train", "--latent-dim", "0"],
+    [{"dynamics_hidden": -3}, "train"],
+    [{"encoder_hidden": [0]}, "train"],
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
     if isinstance(argv[0], dict):
@@ -616,12 +621,16 @@ def python(*args):
 
 def test_bisim_and_verify_do_not_load_numpy_ma(tmp_path, tabular_checkpoint):
     """numpy.ma takes 10-15 ms to import; neither command needs it. --help and the
-    two bisim commands also leave the training stack unrun."""
+    two bisim commands, with or without a --config file of bisim flags, also
+    leave the training stack unrun, and a tabular verify runs no part of
+    training (it reads the checkpoint through nn)."""
     mdp = counting_abstract_mdp(8, 4)
     src, act = np.divmod(np.arange(mdp.num_observations * mdp.num_actions), mdp.num_actions)
     dataset = tmp_path / "dataset.bslb"
     save_dataset(TransitionDataset(mdp.num_observations, mdp.num_actions, src, act,
                                    mdp.transition[src, act], mdp.aux[src]), str(dataset))
+    flags_only = tmp_path / "flags.json"  # every key a bisim flag, so TrainConfig need not be read
+    flags_only.write_text(json.dumps({"aux_tol": 0.0, "engine": "refine"}))
     script = (
         "import sys, types\n"
         "from bisimlab.cli import main\n"
@@ -632,6 +641,8 @@ def test_bisim_and_verify_do_not_load_numpy_ma(tmp_path, tabular_checkpoint):
         f"assert main(['bisim', '--counting', '8', '4', '--out-dir', {str(tmp_path / 'bisim')!r}]) == 0\n"
         f"assert main(['empirical-bisim', '--dataset', {str(dataset)!r},"
         f" '--out-dir', {str(tmp_path / 'empirical')!r}]) == 0\n"
+        f"assert main(['--config', {str(flags_only)!r}, 'bisim', '--counting', '8', '4',"
+        f" '--out-dir', {str(tmp_path / 'bisim-config')!r}]) == 0\n"
         # type() reads the class without the attribute access that would run a lazy module
         "ran = {name.removeprefix('bisimlab.') for name, module in sys.modules.items()\n"
         "       if name.startswith('bisimlab.') and type(module) is types.ModuleType}\n"
@@ -640,6 +651,9 @@ def test_bisim_and_verify_do_not_load_numpy_ma(tmp_path, tabular_checkpoint):
         f"assert main(['verify', '--checkpoint', {str(tabular_checkpoint)!r}, '--counting', '8', '4',"
         f" '--out-dir', {str(tmp_path / 'verify')!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "ran = {name.removeprefix('bisimlab.') for name, module in sys.modules.items()\n"
+        "       if name.startswith('bisimlab.') and type(module) is types.ModuleType}\n"
+        "assert not ran & {'train', 'optim', 'counting_env'}, sorted(ran)\n"
     )
     done = python("-c", script)
     assert done.returncode == 0, done.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bisimlab.fixtures import perfect_fit_params
 from bisimlab.mdp import counting_abstract_mdp, random_mdp
+from bisimlab.presets import PRESET_NAMES, preset_train_config
 from bisimlab.train import (
     DivergenceError,
     TrainConfig,
@@ -133,6 +135,39 @@ def test_config_validation():
         TrainConfig(dyn_loss_enabled=False, aux_mode="none")
     with pytest.raises(ValueError):
         TrainConfig(c_p=-1.0)
+    for width in (dict(latent_dim=0), dict(dynamics_hidden=-3), dict(aux_hidden=0),
+                  dict(encoder_hidden=(64, 0)), dict(decoder_hidden=(0,))):
+        with pytest.raises(ValueError, match=">= 1"):
+            TrainConfig(**width)
+    TrainConfig(encoder_hidden=(), decoder_hidden=())  # no hidden layer is legal
+
+
+# what each preset changes from TrainConfig's defaults, written out so that any edit to a preset shows here
+PRESET_CHANGES = {
+    "tabular_counting": dict(steps=20_000, encoder_hidden=(64,), dynamics_hidden=64, aux_hidden=64,
+                             decoder_hidden=(64,)),
+    "reward_aux": dict(steps=20_000, c_p=30.0),
+    "random_aux": dict(steps=6000, c_p=30.0, aux_mode="random:64"),
+    "reward_only": dict(steps=8000, dyn_loss_enabled=False, base_lr=1e-5),
+    "dyn_only": dict(steps=3000, aux_mode="none"),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_changes_from_defaults_and_overrides_win(name):
+    config, default = preset_train_config(name, 0), TrainConfig(seed=0)
+    changed = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+               if getattr(config, f.name) != getattr(default, f.name)}
+    # JSON tells 30 from 30.0, which the checkpoint's config echo would record
+    assert json.dumps(changed, sort_keys=True) == json.dumps(PRESET_CHANGES[name], sort_keys=True)
+    overridden = preset_train_config(name, 7, steps=3, c_p=0.5, encoder_hidden=(8,))
+    assert overridden == dataclasses.replace(config, seed=7, steps=3, c_p=0.5, encoder_hidden=(8,))
+
+
+def test_preset_names_keep_their_order_and_unknown_names_are_rejected():
+    assert PRESET_NAMES == ("tabular_counting", "reward_aux", "random_aux", "reward_only", "dyn_only")
+    with pytest.raises(ValueError, match="unknown preset"):
+        preset_train_config("bogus", 0)
 
 
 def test_replay_capacity_keeps_most_recent():
