@@ -4,12 +4,12 @@ All components are ReLU MLPs. A model is its ModelConfig plus one flat float64
 buffer: `param_shapes(config)` is the only description of the layout
 (encoder, dynamics, aux head, decoder probe; per layer W then b), and
 ModelParams makes every weight and bias a view into the buffer, so copying the
-model or taking an Adam step is one pass over one array. Gradients are a
-buffer laid out the same way. `joint_loss` is the forward pass: it keeps each
-layer's input and pre-activation, and `loss_and_grads` runs the backward over
-them. The decoder probe reconstructs observations from detached latents, so
-its loss never reaches the encoder. A .pjpa checkpoint holds a JSON echo of
-the configs and the tensors, in `param_shapes` order.
+model or taking an Adam step is one pass over one array. A gradient is a
+ModelParams too, over a buffer of its own. `joint_loss` is the forward pass:
+it keeps each layer's input and pre-activation, and `loss_and_grads` runs the
+backward over them. The decoder probe reconstructs observations from
+detached latents, so its loss never reaches the encoder. A .pjpa checkpoint
+holds a JSON echo of the configs and the tensors, in `param_shapes` order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import struct
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -78,36 +78,42 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
-class ModelParams:
-    """The four MLPs of `config`. `flat` holds every weight and bias, laid out
-    as `param_shapes(config)` lists them, and each layer's `.data` is a view
-    into it."""
+class ModelParams(Mapping):
+    """A buffer laid out as `param_shapes(config)` lists it: the weights and
+    biases of the four MLPs, or anything shaped like them (their gradient).
+    Reads as {parameter name: view into `flat`}, in that order; the forward
+    pass reads each component's (W, b) views from `_weights`, and `encoder`
+    ... `decoder_probe` hold the same views as Linear layers."""
 
-    config: ModelConfig
-    flat: np.ndarray = field(repr=False)
-    encoder: list[Linear] = field(init=False, repr=False)
-    dynamics: list[Linear] = field(init=False, repr=False)
-    aux_head: list[Linear] = field(init=False, repr=False)
-    decoder_probe: list[Linear] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._where = {}  # name -> (start, stop, shape), in param_shapes order
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        shapes = param_shapes(config)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if flat.shape != (size,) or flat.dtype != np.float64:
+            raise ValueError(f"flat buffer must be float64 of shape ({size},)")
+        self.config, self.flat = config, flat
+        self._views, self._segments = {}, {}  # name -> view, component -> slice of flat
         stop = 0
-        for name, shape in param_shapes(self.config).items():
+        for name, shape in shapes.items():
+            comp = name.partition(".")[0]
             start, stop = stop, stop + math.prod(shape)
-            self._where[name] = (start, stop, shape)
-        if self.flat.shape != (stop,) or self.flat.dtype != np.float64:
-            raise ValueError(f"flat buffer must be float64 of shape ({stop},)")
-        self._segments, self._layers, self._weights = {}, {}, {}
+            self._views[name] = flat[start:stop].reshape(shape)
+            first = self._segments[comp].start if comp in self._segments else start
+            self._segments[comp] = slice(first, stop)
+        self._weights = {}
         for comp in COMPONENTS:
-            spans = [where for name, where in self._where.items() if name.startswith(comp + ".")]
-            self._segments[comp] = slice(spans[0][0], spans[-1][1])
-            # per layer: where W starts, where W ends and b starts, W's shape, where b ends
-            self._layers[comp] = [(w[0], w[1], w[2], b[1]) for w, b in zip(spans[0::2], spans[1::2])]
-            self._weights[comp] = self.slots(comp, self.flat)
+            arrays = [view for name, view in self._views.items() if name.startswith(comp + ".")]
+            self._weights[comp] = list(zip(arrays[0::2], arrays[1::2]))
             setattr(self, comp, [Linear(Param(W), Param(b)) for W, b in self._weights[comp]])
-        self._grads = None  # the gradient buffer and its per-component slots, made by loss_and_grads
+        self._grads = None  # the gradient ModelParams, made by loss_and_grads
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
@@ -119,20 +125,7 @@ class ModelParams:
         return cls(config, np.concatenate([np.asarray(arrays[name], dtype=np.float64).ravel() for name in shapes]))
 
     def named_parameters(self) -> list[tuple[str, Param]]:
-        out = []
-        for comp in COMPONENTS:
-            for k, layer in enumerate(getattr(self, comp)):
-                out.append((f"{comp}.{k}.W", layer.W))
-                out.append((f"{comp}.{k}.b", layer.b))
-        return out
-
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """name -> that parameter's view into a buffer laid out like `flat`."""
-        return {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in self._where.items()}
-
-    def slots(self, component: str, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W, b) of each layer of one component, as views into a buffer laid out like `flat`."""
-        return [(flat[s:m].reshape(shape), flat[m:e]) for s, m, shape, e in self._layers[component]]
+        return [(name, Param(view)) for name, view in self._views.items()]
 
     def segment(self, component: str) -> slice:
         """Where one component's parameters sit in `flat`."""
@@ -140,25 +133,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, self.flat.copy())
-
-
-class Gradients(Mapping):
-    """{parameter name: gradient}, read-only; each gradient is a view into
-    `flat`, which is laid out like its model's `flat`."""
-
-    def __init__(self, params: ModelParams, flat: np.ndarray):
-        self.flat = flat
-        self._where = params._where
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        start, stop, shape = self._where[name]
-        return self.flat[start:stop].reshape(shape)
-
-    def __iter__(self):
-        return iter(self._where)
-
-    def __len__(self) -> int:
-        return len(self._where)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -340,21 +314,21 @@ def loss_and_grads(
     aux_enabled: bool = True,
     decoder_enabled: bool = True,
     step: int = 0,
-) -> tuple[LossReport, Gradients]:
+) -> tuple[LossReport, ModelParams]:
     """The joint loss and its gradient for every parameter (zero where no
     active loss reaches). No gradient is formed for the observations or for
     the decoder probe's detached input.
 
-    The gradients live in one buffer that `params` keeps for this function,
-    so a step allocates no gradient buffer and builds no views; the next call
-    on the same `params` overwrites them, so copy `grads.flat` to keep them."""
+    The gradient is a ModelParams over a buffer of its own, which `params`
+    keeps for this function, so a step allocates no gradient buffer and
+    builds no views; the next call on the same `params` overwrites it, so
+    copy `grads.flat` to keep it."""
     report, (enc_t, enc_next, (dyn, dyn_cache), (aux, aux_cache), (dec, dec_cache)) = joint_loss(
         params, batch, c_p, dyn_loss_enabled, aux_enabled, decoder_enabled, step)
     if params._grads is None:
-        flat = np.empty_like(params.flat)
-        params._grads = Gradients(params, flat), {comp: params.slots(comp, flat) for comp in COMPONENTS}
-    grads, slots = params._grads
-    flat, weights = grads.flat, params._weights
+        params._grads = ModelParams(params.config, np.empty_like(params.flat))
+    grads = params._grads
+    flat, weights, slots = grads.flat, params._weights, grads._weights
     z_grad = None  # gradient at E(o_t)
     if dyn is not None:
         dyn_grad = _mse_grad(dyn, 1.0)

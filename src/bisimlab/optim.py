@@ -1,9 +1,10 @@
 """Adam with per-component learning-rate groups (scaled encoder rate).
 
-The gradient (`Gradients.flat`) and both moments are flat buffers laid out
-like ModelParams.flat, so a step is one run of in-place operations over the
-whole model, taken in blocks that keep the scratch arrays in cache. The
-encoder comes first in that layout, so its scaled rate covers one prefix.
+The gradient (a ModelParams, read through its `flat`) and both moments are
+flat buffers laid out like ModelParams.flat, so a step is one run of
+in-place operations over the whole model, taken in blocks that keep the
+scratch arrays in cache. The encoder comes first in that layout, so its
+scaled rate covers one prefix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bisimlab.nn import Gradients, ModelParams
+from bisimlab.nn import ModelParams
 
 BLOCK = 1 << 15  # elements per pass of the update
 
@@ -29,7 +30,7 @@ class AdamState:
 
 def adam_step(
     params: ModelParams,
-    grads: Gradients,
+    grads: ModelParams,
     state: AdamState,
     base_lr: float = 3e-4,
     encoder_lr_scale: float = 0.3,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,15 @@ class TrainConfig:
     decoder_hidden: tuple[int, ...] = (128,)
 
     def __post_init__(self) -> None:
-        if self.c_p < 0:
-            raise ValueError("c_p must be >= 0")
+        for name in ("c_p", "encoder_lr_scale"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0")
+        for name in ("base_lr", "adam_eps"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be a finite number > 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
         for name in ("batch_size", "steps", "replay_capacity", "eval_every", "report_every", "eval_size",
                      "latent_dim", "dynamics_hidden", "aux_hidden"):
             if getattr(self, name) < 1:

@@ -589,6 +589,14 @@ def test_aux_tol_outside_its_domain_exits_2(tmp_path, capsys, command, flag, con
     ["train", "--latent-dim", "0"],
     [{"dynamics_hidden": -3}, "train"],
     [{"encoder_hidden": [0]}, "train"],
+    # optimiser settings that are not finite or out of range
+    ["train", "--c-p", "nan"],
+    [{"base_lr": -1.0}, "train"],
+    [{"base_lr": 0.0}, "train"],
+    [{"encoder_lr_scale": -0.3}, "train"],
+    [{"adam_eps": 0.0}, "train"],
+    [{"adam_beta1": 1.0}, "train"],
+    [{"adam_beta2": -0.1}, "train"],
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
     if isinstance(argv[0], dict):

@@ -4,13 +4,16 @@ import pytest
 from bisimlab.fixtures import one_hot_observations, perfect_fit_params
 from bisimlab.mdp import counting_abstract_mdp, random_mdp
 from bisimlab.nn import (
+    COMPONENTS,
     Batch,
     ModelConfig,
+    ModelParams,
     aux_predict,
     encode,
     init_params,
     joint_loss,
     loss_and_grads,
+    param_shapes,
     predict_next,
 )
 
@@ -178,6 +181,18 @@ def test_perfect_fit_fixture_random_mdp():
 
 def test_params_are_views_into_one_flat_buffer():
     params = init_params(tiny_config(), np.random.default_rng(0))
+    shapes = param_shapes(params.config)
+    assert list(params) == list(shapes) and len(params) == len(shapes)
+    for name, shape in shapes.items():
+        assert params[name].shape == shape and np.shares_memory(params[name], params.flat)
+    # the components tile the buffer in COMPONENTS order
+    segments = [params.segment(comp) for comp in COMPONENTS]
+    assert [s.start for s in segments] == [0] + [s.stop for s in segments[:-1]]
+    assert segments[-1].stop == params.flat.size
+    _, grads = loss_and_grads(params, tiny_batch(np.random.default_rng(1)))
+    assert list(grads) == list(shapes) and grads.segment("encoder") == params.segment("encoder")
+    assert all(np.shares_memory(grads[name], grads.flat) for name in shapes)
+    assert not np.shares_memory(grads.flat, params.flat)
     named = params.named_parameters()
     assert sum(p.data.size for _, p in named) == params.flat.size
     assert all(np.shares_memory(p.data, params.flat) for _, p in named)
@@ -189,6 +204,15 @@ def test_params_are_views_into_one_flat_buffer():
     twin.encoder[0].W.data[0, 0] += 1.0
     assert twin.flat[0] == params.flat[0] + 1.0
     assert np.array_equal(twin.flat[1:], params.flat[1:])
+
+
+def test_model_params_reject_a_buffer_of_another_size_or_dtype():
+    config = tiny_config()
+    size = init_params(config, np.random.default_rng(0)).flat.size
+    ModelParams(config, np.zeros(size))
+    for flat in (np.zeros(size - 1), np.zeros(size, dtype=np.float32)):
+        with pytest.raises(ValueError, match=f"float64 of shape \\({size},\\)"):
+            ModelParams(config, flat)
 
 
 def test_each_call_rewrites_the_whole_gradient_buffer():

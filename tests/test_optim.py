@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bisimlab.nn import Gradients, ModelConfig, init_params
+from bisimlab.nn import ModelConfig, ModelParams, init_params
 from bisimlab.optim import AdamState, adam_step
 
 
@@ -13,7 +13,7 @@ def make_params():
 
 
 def constant_grads(params, value):
-    return Gradients(params, np.full_like(params.flat, value))
+    return ModelParams(params.config, np.full_like(params.flat, value))
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -75,7 +75,7 @@ def test_moments_are_views_into_flat_buffers():
     params = make_params()
     state = AdamState()
     adam_step(params, constant_grads(params, 1.0), state)
-    m = params.views(state.m_flat)
+    m = ModelParams(params.config, state.m_flat)
     assert list(m) == [n for n, _ in params.named_parameters()]
     assert all(np.shares_memory(a, state.m_flat) for a in m.values())
     assert state.v_flat.shape == params.flat.shape

@@ -135,6 +135,8 @@ def test_config_validation():
         TrainConfig(dyn_loss_enabled=False, aux_mode="none")
     with pytest.raises(ValueError):
         TrainConfig(c_p=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(c_p=float("nan"))
     for width in (dict(latent_dim=0), dict(dynamics_hidden=-3), dict(aux_hidden=0),
                   dict(encoder_hidden=(64, 0)), dict(decoder_hidden=(0,))):
         with pytest.raises(ValueError, match=">= 1"):

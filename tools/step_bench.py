@@ -144,7 +144,8 @@ def matmul_floor(shapes, steps: int, rng: np.random.Generator) -> float:
 
 
 def summary(values: list[float]) -> dict[str, float]:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; one value is all three."""
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
@@ -154,6 +155,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--out", default=str(ROOT / "BENCH_step.json"))
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, not {args.repeats}")
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.baseline], capture_output=True, text=True,
