@@ -277,15 +277,12 @@ def empirical_apply_F(
     if rel.num_observations != m:
         raise ValueError("relation not dimensioned to the dataset's sources")
     out = aux_disagreement(index.aux, aux_tol)
-    # pad with an always-false row/col so dense index -1 contributes nothing
+    # pad with an always-false row/col so dense index -1 (a missing action, or a
+    # successor that is never a source) contributes nothing
     padded = np.zeros((m + 1, m + 1), dtype=bool)
     padded[:m, :m] = rel.bits
-    for a in range(index.has_action.shape[1]):
-        has = index.has_action[:, a]
-        succ = np.where(index.succ_dense[:, a] < 0, m, index.succ_dense[:, a])
-        clause = padded[succ][:, succ]
-        clause &= has[:, None] & has[None, :]
-        out |= clause
+    for succ in np.where(index.succ_dense < 0, m, index.succ_dense).T:
+        out |= padded[succ][:, succ]
     return PairRelation(out)
 
 

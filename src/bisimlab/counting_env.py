@@ -210,6 +210,8 @@ def collect_dataset(
     """
     if steps <= 0:
         raise ValueError("steps must be > 0")
+    if action_repeat < 1:
+        raise ValueError("action_repeat must be >= 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     sources, actions, successors, aux = [], [], [], []

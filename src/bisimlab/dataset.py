@@ -121,13 +121,14 @@ class CoObservedIndex:
     obs_ids maps dense source index -> original observation id, in increasing
     order. has_action[k, a] says source k has a record for action a;
     succ_dense[k, a] is the successor's dense index, or -1 when the successor
-    never appears as a source. aux is each source's aux vector.
+    never appears as a source or source k has no record for action a. aux is
+    each source's aux vector.
     """
 
     obs_ids: np.ndarray  # int [m]
     aux: np.ndarray  # float [m, d_p]
     has_action: np.ndarray  # bool [m, |A|]
-    succ_dense: np.ndarray  # int [m, |A|], -1 when successor not a source
+    succ_dense: np.ndarray  # int [m, |A|], -1 when successor not a source or action missing
 
     @property
     def num_sources(self) -> int:

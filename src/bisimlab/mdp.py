@@ -135,6 +135,11 @@ def save_mdp_json(mdp: DeterministicMDP, path: str) -> None:
 MDP_JSON_KEYS = ("num_observations", "num_actions", "transition", "aux", "reward", "initial_dist")
 
 
+def _int_list(value) -> bool:
+    """True for a list of JSON integers or of such lists; a fraction or true/false is no integer."""
+    return isinstance(value, list) and all(_int_list(v) if isinstance(v, list) else type(v) is int for v in value)
+
+
 def load_mdp_json(path: str) -> DeterministicMDP:
     """Read an MDP written by save_mdp_json; ValueError for anything malformed."""
     with open(path) as fh:
@@ -144,9 +149,13 @@ def load_mdp_json(path: str) -> DeterministicMDP:
     missing = [key for key in MDP_JSON_KEYS if key not in payload]
     if missing:
         raise ValueError(f"invalid MDP file {path}: missing " + ", ".join(missing))
+    for key in ("num_observations", "num_actions"):
+        if type(payload[key]) is not int:
+            raise ValueError(f"invalid MDP file {path}: {key} must be an integer, got {json.dumps(payload[key])}")
+    if not _int_list(payload["transition"]):
+        raise ValueError(f"invalid MDP file {path}: transition must be a list of integers")
     try:
-        n = int(payload["num_observations"])
-        na = int(payload["num_actions"])
+        n, na = payload["num_observations"], payload["num_actions"]
         mdp = DeterministicMDP(
             num_observations=n,
             num_actions=na,
@@ -155,7 +164,7 @@ def load_mdp_json(path: str) -> DeterministicMDP:
             reward=np.asarray(payload["reward"], dtype=np.float64),
             initial_dist=np.asarray(payload["initial_dist"], dtype=np.float64),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an id past int64
         raise ValueError(f"invalid MDP file {path}: {exc}") from exc
     errors = validate_mdp(mdp)
     if errors:

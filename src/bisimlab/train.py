@@ -6,7 +6,6 @@ seeded generator, so reruns produce bit-identical metrics logs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +22,9 @@ from bisimlab.nn import load_checkpoint, model_config_echo, save_checkpoint  # n
 from bisimlab.optim import AdamState, adam_step
 
 
+EVAL_SIZE = 256  # records in the fixed evaluation sample
+
+
 class DivergenceError(RuntimeError):
     pass
 
@@ -32,37 +34,28 @@ class TrainConfig:
     c_p: float = 1.0
     latent_dim: int = 32
     base_lr: float = 3e-4
-    encoder_lr_scale: float = 0.3
     batch_size: int = 64
     steps: int = 5000
     seed: int = 0
     aux_mode: str = "reward"  # "reward" | "random:<dim>" | "none"
     dyn_loss_enabled: bool = True
     decoder_enabled: bool = True
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    replay_capacity: int = 10_000
     eval_every: int = 500
     report_every: int = 100
-    eval_size: int = 256
     encoder_hidden: tuple[int, ...] = (128, 64)
     dynamics_hidden: int = 128
     aux_hidden: int = 128
     decoder_hidden: tuple[int, ...] = (128,)
 
     def __post_init__(self) -> None:
-        for name in ("c_p", "encoder_lr_scale"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0")
-        for name in ("base_lr", "adam_eps"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be a finite number > 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        for name in ("batch_size", "steps", "replay_capacity", "eval_every", "report_every", "eval_size",
-                     "latent_dim", "dynamics_hidden", "aux_hidden"):
+        if not (math.isfinite(self.c_p) and self.c_p >= 0):
+            raise ValueError("c_p must be a finite number >= 0")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError("base_lr must be a finite number > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("batch_size", "steps", "eval_every", "report_every", "latent_dim", "dynamics_hidden",
+                     "aux_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("encoder_hidden", "decoder_hidden"):  # empty is legal: no hidden layer
@@ -104,18 +97,6 @@ class TrainData:
 
     def __len__(self) -> int:
         return self.obs.shape[0]
-
-    def truncated(self, capacity: int) -> "TrainData":
-        if len(self) <= capacity:
-            return self
-        return dataclasses.replace(
-            self,
-            obs=self.obs[-capacity:],
-            actions=self.actions[-capacity:],
-            next_obs=self.next_obs[-capacity:],
-            reward_aux=self.reward_aux[-capacity:],
-            labels=self.labels[-capacity:],
-        )
 
 
 def tabular_train_data(mdp: DeterministicMDP) -> TrainData:
@@ -180,12 +161,11 @@ class TrainResult:
 
 
 def train(config: TrainConfig, data: TrainData) -> TrainResult:
-    """Run `config.steps` Adam steps over uniform replay minibatches.
+    """Run `config.steps` Adam steps over minibatches drawn uniformly from every record of `data`.
 
     Checkpoints the parameters with the best nearest-centroid accuracy on a
     fixed held-out evaluation batch, evaluated every `eval_every` steps.
     """
-    data = data.truncated(config.replay_capacity)
     rng = np.random.default_rng(config.seed)
     aux_targets = resolve_aux_targets(config, data)
     model_config = ModelConfig(
@@ -201,7 +181,7 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     )
     params = init_params(model_config, rng)
     state = AdamState()
-    eval_idx = rng.integers(0, len(data), size=min(config.eval_size, max(len(data), 1)))
+    eval_idx = rng.integers(0, len(data), size=min(EVAL_SIZE, max(len(data), 1)))
     eval_obs = data.obs[eval_idx]
     eval_labels = data.labels[eval_idx]
 
@@ -229,16 +209,7 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
             )
         except FloatingPointError as exc:
             raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
-        adam_step(
-            params,
-            grads,
-            state,
-            base_lr=config.base_lr,
-            encoder_lr_scale=config.encoder_lr_scale,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            eps=config.adam_eps,
-        )
+        adam_step(params, grads, state, base_lr=config.base_lr)
         if step % config.eval_every == 0 or step == config.steps:
             embs = encode(params, eval_obs)
             centroid_acc = nearest_centroid_accuracy(embs, eval_labels)

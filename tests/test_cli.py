@@ -353,6 +353,24 @@ def test_bisim_mdp_missing_key_exits_2(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+# ids that are not JSON integers: int() would truncate [1.7, 0.2] to [1, 0]
+@pytest.mark.parametrize("key, value", [
+    ("transition", [1.7, 0.2]),
+    ("transition", [1, True]),
+    ("num_observations", 2.9),
+    ("num_actions", True),
+])
+def test_bisim_mdp_non_integer_id_exits_2(tmp_path, capsys, key, value):
+    payload = {"num_observations": 2, "num_actions": 1, "transition": [1, 0], "aux": [[0.0], [1.0]],
+               "reward": [0.0, 1.0], "initial_dist": [0.5, 0.5], key: value}
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(["bisim", "--mdp", str(path), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith(f"error: invalid MDP file {path}: {key} must be")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def collected_dir(tmp_path, capsys):
     code, _, _ = run(["collect", "--steps", "20", "--image-size", "8", "--out-dir", str(tmp_path / "data")], capsys)
@@ -461,15 +479,20 @@ def test_explicit_flag_equal_to_its_default_beats_the_config_file(tmp_path, caps
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "m.json"
-    cfg.write_text(json.dumps({"stpes": 20}))
-    code, _, err = run(["--config", str(cfg), "train", "--steps", "5", "--out-dir", str(tmp_path / "out")], capsys)
-    assert code == 2
-    assert err == f"error: {cfg}: unknown keys stpes\n"
-    assert not (tmp_path / "out" / "checkpoint.pjpa").exists()
+    # Adam's constants live in optim.adam_step, the evaluation sample is train.EVAL_SIZE, and
+    # train uses every record, so none of them is a TrainConfig field
+    for key, value in (("stpes", 20), ("encoder_lr_scale", -0.3), ("adam_eps", 0.0), ("adam_beta1", 1.0),
+                       ("adam_beta2", -0.1), ("eval_size", 16), ("replay_capacity", 10_000)):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = run(["--config", str(cfg), "train", "--steps", "5", "--out-dir", str(tmp_path / "out")],
+                           capsys)
+        assert code == 2
+        assert err == f"error: {cfg}: unknown keys {key}\n"
+        assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["batch_size", "eval_every", "report_every", "eval_size", "replay_capacity"])
+@pytest.mark.parametrize("key", ["batch_size", "eval_every", "report_every"])
 def test_config_file_non_positive_train_count_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "z.json"
     cfg.write_text(json.dumps({key: 0}))
@@ -593,10 +616,12 @@ def test_aux_tol_outside_its_domain_exits_2(tmp_path, capsys, command, flag, con
     ["train", "--c-p", "nan"],
     [{"base_lr": -1.0}, "train"],
     [{"base_lr": 0.0}, "train"],
-    [{"encoder_lr_scale": -0.3}, "train"],
-    [{"adam_eps": 0.0}, "train"],
-    [{"adam_beta1": 1.0}, "train"],
-    [{"adam_beta2": -0.1}, "train"],
+    # a negative seed, which numpy's generator refuses
+    ["train", "--seed", "-1"],
+    [{"seed": -1}, "train"],
+    # an action held for fewer than one step
+    ["collect", "--action-repeat", "0"],
+    ["collect", "--action-repeat", "-3"],
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, collected_dir, argv):
     if isinstance(argv[0], dict):

@@ -178,7 +178,7 @@ def test_train_checkpoint_bytes_equal_the_tape_loop(tmp_path, monkeypatch):
     for kind, data, aux_mode in (("image", image_data(np.random.default_rng(3)), "random:2"),
                                  ("onehot", tabular_data(np.random.default_rng(4)), "reward")):
         config = TrainConfig(steps=25, batch_size=8, latent_dim=4, encoder_hidden=(6, 5), dynamics_hidden=6,
-                             aux_hidden=6, decoder_hidden=(6,), eval_every=10, report_every=5, eval_size=16,
+                             aux_hidden=6, decoder_hidden=(6,), eval_every=10, report_every=5,
                              c_p=3.0, base_lr=3e-3, aux_mode=aux_mode, seed=5)
         outputs = []
         for engine in ("explicit", "tape"):

@@ -119,6 +119,13 @@ def test_load_rejects_missing_keys(tmp_path_factory, dropped):
     ("num_actions", None),
     ("num_observations", "five"),
     ("initial_dist", {"a": 1}),
+    ("num_observations", 5.0),
+    ("num_observations", "5"),
+    ("num_actions", True),
+    ("transition", [0, 1, 2, 3, 4, 0, 1, 2, 3, 4.5]),
+    ("transition", [0, 1, 2, 3, 4, 0, 1, 2, 3, False]),
+    ("transition", [[0, 1], [2, 3], [4, 0], [1, 2], [3, 4.0]]),
+    ("transition", [0, 1, 2, 3, 4, 0, 1, 2, 3, 2**70]),
 ])
 def test_load_rejects_bad_shapes_and_types(tmp_path, key, value):
     path = tmp_path / "mdp.json"
@@ -128,6 +135,16 @@ def test_load_rejects_bad_shapes_and_types(tmp_path, key, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="invalid MDP file"):
         load_mdp_json(str(path))
+
+
+def test_load_accepts_nested_transition_rows(tmp_path):
+    path = tmp_path / "mdp.json"
+    m = random_mdp(5, 2, 2, np.random.default_rng(0))
+    save_mdp_json(m, str(path))
+    payload = json.loads(path.read_text())
+    payload["transition"] = m.transition.tolist()
+    path.write_text(json.dumps(payload))
+    assert np.array_equal(load_mdp_json(str(path)).transition, m.transition)
 
 
 def test_load_rejects_non_object(tmp_path):

@@ -137,6 +137,8 @@ def test_config_validation():
         TrainConfig(c_p=-1.0)
     with pytest.raises(ValueError, match="finite"):
         TrainConfig(c_p=float("nan"))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     for width in (dict(latent_dim=0), dict(dynamics_hidden=-3), dict(aux_hidden=0),
                   dict(encoder_hidden=(64, 0)), dict(decoder_hidden=(0,))):
         with pytest.raises(ValueError, match=">= 1"):
@@ -170,13 +172,6 @@ def test_preset_names_keep_their_order_and_unknown_names_are_rejected():
     assert PRESET_NAMES == ("tabular_counting", "reward_aux", "random_aux", "reward_only", "dyn_only")
     with pytest.raises(ValueError, match="unknown preset"):
         preset_train_config("bogus", 0)
-
-
-def test_replay_capacity_keeps_most_recent():
-    data = tabular_train_data(counting_abstract_mdp())
-    truncated = data.truncated(5)
-    assert len(truncated) == 5
-    assert np.array_equal(truncated.labels, data.labels[-5:])
 
 
 def test_divergence_raises():

@@ -97,8 +97,7 @@ class Loop:
         _, grads = self.nn.loss_and_grads(self.params, batch, c_p=c.c_p, dyn_loss_enabled=c.dyn_loss_enabled,
                                           aux_enabled=c.aux_enabled, decoder_enabled=c.decoder_enabled)
         t2 = time.perf_counter()
-        self.optim.adam_step(self.params, grads, self.state, base_lr=c.base_lr, encoder_lr_scale=c.encoder_lr_scale,
-                             beta1=c.adam_beta1, beta2=c.adam_beta2, eps=c.adam_eps)
+        self.optim.adam_step(self.params, grads, self.state, base_lr=c.base_lr)
         t3 = time.perf_counter()
         return t1 - t0, self.forward_s, t2 - t1 - self.forward_s, t3 - t2
 
