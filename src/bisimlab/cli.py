@@ -4,6 +4,14 @@ Subcommands: bisim, empirical-bisim, collect, train, analyze, verify. Every
 run writes a manifest.json with the resolved config, seed, and sha256 hashes
 of the artifacts it produced. Exit codes: 0 success, 2 validation error,
 3 verification failed, 4 divergence.
+
+The front end runs on the standard library. Importing this module, --help,
+argparse's usage errors and the flag checks made before any input is read
+run `presets` and no other bisimlab module, and never import numpy. So the
+handlers reach the library through its lazily registered modules
+(`dataset.load_dataset`: a name imported from `dataset` would run that
+module here), and the helpers that build arrays import numpy in their
+bodies. Each command imports numpy when it first reaches another module.
 """
 
 from __future__ import annotations
@@ -17,17 +25,27 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
-from bisimlab import analysis, bisim, counting_env, nn, presets, train as training
-from bisimlab.dataset import load_dataset, load_frame_sidecar, parse_ppm, save_dataset, save_frame_sidecar
-from bisimlab.mdp import counting_abstract_mdp, load_mdp_json, validate_mdp
-from bisimlab.relation import write_partition_csv, write_relation_csv
+from bisimlab import analysis, bisim, counting_env, dataset, mdp, nn, presets, relation, train as training
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_DIVERGENCE = 4
+
+# library functions that callers read as cli.<name>; each access reads the home
+# module's current binding, so a wrapper installed there is what cli.<name> gives
+_LIBRARY_NAMES = {
+    "dataset": ("load_dataset", "load_frame_sidecar", "parse_ppm", "save_dataset", "save_frame_sidecar"),
+    "mdp": ("counting_abstract_mdp", "load_mdp_json", "validate_mdp"),
+    "relation": ("write_partition_csv", "write_relation_csv"),
+}
+_HOME = {name: module for module, names in _LIBRARY_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sha256(path: Path) -> str:
@@ -47,15 +65,15 @@ def _input_error(exc: Exception) -> int:
     return EXIT_VALIDATION
 
 
-def _load_mdp(args) -> "bisim.DeterministicMDP":
+def _load_mdp(args) -> mdp.DeterministicMDP:
     if args.counting:
         max_count, target_n = args.counting
-        return counting_abstract_mdp(max_count, target_n)
-    mdp = load_mdp_json(args.mdp)
-    errors = validate_mdp(mdp)
+        return mdp.counting_abstract_mdp(max_count, target_n)
+    loaded = mdp.load_mdp_json(args.mdp)
+    errors = mdp.validate_mdp(loaded)
     if errors:
         raise ValueError("; ".join(errors))
-    return mdp
+    return loaded
 
 
 def _check_aux_tol(value: float) -> None:
@@ -70,21 +88,21 @@ def cmd_bisim(args) -> int:
         return EXIT_VALIDATION
     try:
         _check_aux_tol(args.aux_tol)
-        mdp = _load_mdp(args)
+        task = _load_mdp(args)
     except (ValueError, OSError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.engine == "naive":
-        rel, iterations, _ = bisim.least_fixed_point(mdp, args.aux_tol)
-        part = bisim.quotient(rel, mdp, args.aux_tol)
+        rel, iterations, _ = bisim.least_fixed_point(task, args.aux_tol)
+        part = bisim.quotient(rel, task, args.aux_tol)
     else:
-        part, iterations = bisim.partition_refine_with_rounds(mdp, args.aux_tol)
+        part, iterations = bisim.partition_refine_with_rounds(task, args.aux_tol)
         rel = bisim.partition_to_relation(part)
-    verified = bisim.is_fixed_point(mdp, part, args.aux_tol)
+    verified = bisim.is_fixed_point(task, part, args.aux_tol)
     rel_path, part_path = out / "relation.csv", out / "partition.csv"
-    write_relation_csv(rel, str(rel_path))
-    write_partition_csv(part, str(part_path))
+    relation.write_relation_csv(rel, str(rel_path))
+    relation.write_partition_csv(part, str(part_path))
     summary = {
         "num_blocks": part.num_blocks,
         "iterations": iterations,
@@ -107,14 +125,14 @@ def cmd_empirical_bisim(args) -> int:
     except ValueError as exc:
         return _input_error(exc)
     try:
-        ds = load_dataset(args.dataset)
+        ds = dataset.load_dataset(args.dataset)
         r_star_d, b_star_d, index = bisim.empirical_lfp(ds, args.aux_tol)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rel_path = out / "relation.csv"
-    write_relation_csv(r_star_d, str(rel_path), index.obs_ids)
+    relation.write_relation_csv(r_star_d, str(rel_path), index.obs_ids)
     summary = {
         "num_sources": index.num_sources,
         "pairs_in_R": r_star_d.count(),
@@ -139,6 +157,8 @@ def _env_config(args) -> counting_env.CountingEnvConfig:
 
 
 def cmd_collect(args) -> int:
+    import numpy as np
+
     try:
         config = _env_config(args)
         collected = counting_env.collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
@@ -148,8 +168,8 @@ def cmd_collect(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_path, frames_path = out / "dataset.bslb", out / "frames.bsli"
-    save_dataset(collected.dataset, str(ds_path))
-    save_frame_sidecar(collected.ppm_frames(), str(frames_path))
+    dataset.save_dataset(collected.dataset, str(ds_path))
+    dataset.save_frame_sidecar(collected.ppm_frames(), str(frames_path))
     _write_manifest(out, {"command": "collect", "env": dataclasses.asdict(config),
                           "steps": args.steps, "action_repeat": args.action_repeat,
                           "seed": args.seed}, [ds_path, frames_path])
@@ -159,13 +179,15 @@ def cmd_collect(args) -> int:
 
 def _load_collected(dataset_path: str, channels: int) -> counting_env.CollectedData:
     """The dataset and its frames.bsli; OSError or ValueError when either is missing or malformed."""
-    ds = load_dataset(dataset_path)
+    import numpy as np
+
+    ds = dataset.load_dataset(dataset_path)
     frames_path = str(Path(dataset_path).with_name("frames.bsli"))
-    blobs = load_frame_sidecar(frames_path)
+    blobs = dataset.load_frame_sidecar(frames_path)
     if len(blobs) != 2 * len(ds):
         raise ValueError(f"{frames_path}: {len(blobs)} frames for {len(ds)} records")
-    src = np.stack([parse_ppm(blobs[2 * k], channels) for k in range(len(ds))])
-    succ = np.stack([parse_ppm(blobs[2 * k + 1], channels) for k in range(len(ds))])
+    src = np.stack([dataset.parse_ppm(blobs[2 * k], channels) for k in range(len(ds))])
+    succ = np.stack([dataset.parse_ppm(blobs[2 * k + 1], channels) for k in range(len(ds))])
     return counting_env.CollectedData(dataset=ds, source_frames=src, successor_frames=succ)
 
 
@@ -204,6 +226,8 @@ def cmd_train(args) -> int:
 def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
     """Latents of every one-hot state, or of a sample of the --dataset frames;
     OSError or ValueError when the dataset is absent, missing or malformed."""
+    import numpy as np
+
     if params.config.obs_kind == "onehot":
         n = params.config.obs_shape[0]
         obs = np.eye(n)
@@ -282,10 +306,10 @@ def cmd_verify(args) -> int:
         return EXIT_VALIDATION
     try:
         params, _ = nn.load_checkpoint(args.checkpoint)
-        mdp = _load_mdp(args)
+        task = _load_mdp(args)
         embs = _embeddings_for_checkpoint(args, params)
-        _check_fits_mdp(params, embs, mdp.num_observations)
-        report = analysis.verify_no_collapse(embs, bisim.partition_refine(mdp), _eps_collapse(args.eps_collapse))
+        _check_fits_mdp(params, embs, task.num_observations)
+        report = analysis.verify_no_collapse(embs, bisim.partition_refine(task), _eps_collapse(args.eps_collapse))
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)

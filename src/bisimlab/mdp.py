@@ -68,8 +68,9 @@ def validate_mdp(mdp: DeterministicMDP) -> list[str]:
             errors.append("initial_dist has negative entries")
         if abs(mdp.initial_dist.sum() - 1.0) > 1e-9:
             errors.append("initial_dist not normalized")
-    if not np.all(np.isfinite(mdp.aux)):
-        errors.append("aux has non-finite entries")
+    for name in ("aux", "reward", "initial_dist"):  # NaN passes both initial_dist checks above
+        if not np.all(np.isfinite(getattr(mdp, name))):
+            errors.append(f"{name} has non-finite entries")
     return errors
 
 
@@ -135,9 +136,10 @@ def save_mdp_json(mdp: DeterministicMDP, path: str) -> None:
 MDP_JSON_KEYS = ("num_observations", "num_actions", "transition", "aux", "reward", "initial_dist")
 
 
-def _int_list(value) -> bool:
-    """True for a list of JSON integers or of such lists; a fraction or true/false is no integer."""
-    return isinstance(value, list) and all(_int_list(v) if isinstance(v, list) else type(v) is int for v in value)
+def _nested_list(value, types: tuple[type, ...]) -> bool:
+    """True for a list of values of exactly these types (so true/false is no number), or of such lists."""
+    return isinstance(value, list) and all(
+        _nested_list(v, types) if isinstance(v, list) else type(v) in types for v in value)
 
 
 def load_mdp_json(path: str) -> DeterministicMDP:
@@ -152,8 +154,11 @@ def load_mdp_json(path: str) -> DeterministicMDP:
     for key in ("num_observations", "num_actions"):
         if type(payload[key]) is not int:
             raise ValueError(f"invalid MDP file {path}: {key} must be an integer, got {json.dumps(payload[key])}")
-    if not _int_list(payload["transition"]):
+    if not _nested_list(payload["transition"], (int,)):
         raise ValueError(f"invalid MDP file {path}: transition must be a list of integers")
+    for key in ("aux", "reward", "initial_dist"):
+        if not _nested_list(payload[key], (int, float)):
+            raise ValueError(f"invalid MDP file {path}: {key} must be a list of numbers")
     try:
         n, na = payload["num_observations"], payload["num_actions"]
         mdp = DeterministicMDP(

@@ -5,13 +5,14 @@ win. The reward_aux preset weights the auxiliary loss heavily (c_p 30);
 lighter weights let the dynamics loss collapse the encoder before the reward
 signal anchors it. The reward_only preset drops the base learning rate to
 1e-5, which is what keeps that configuration from diverging.
+
+The CLI reads PRESET_NAMES to build its parser, so this module imports numpy
+only where it draws data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from bisimlab import counting_env, mdp, train as training
 
@@ -48,6 +49,8 @@ class PresetData:
 
 def preset_data(name: str, seed: int, collect_steps: int | None = None) -> PresetData:
     """Materialize the data a preset trains on (tabular tables or rollouts)."""
+    import numpy as np
+
     abstract = mdp.counting_abstract_mdp(8, 4)
     if name == "tabular_counting":
         return PresetData(train_data=training.tabular_train_data(abstract), mdp=abstract)

@@ -233,7 +233,8 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# records the BLAS thread variables at the moment numpy is first imported
+# records the BLAS thread variables at the moment numpy is first imported,
+# which is inside a command: importing the CLI does not import numpy
 NUMPY_IMPORT_SPY = f"""
 import json, os, sys
 seen = {{}}
@@ -243,21 +244,57 @@ class Spy:
             seen.update({{v: os.environ.get(v) for v in {THREAD_VARS!r}}})
 assert "numpy" not in sys.modules
 sys.meta_path.insert(0, Spy())
-import bisimlab.cli
+from bisimlab.cli import main
+assert main(["bisim", "--counting", "2", "1", "--out-dir", sys.argv[1]]) == 0
 print(json.dumps(seen))
 """
 
 
-def test_thread_cap_env():
+def python_with_src(code: str, *args: str, env: dict | None = None):
+    """The JSON on the last stdout line of a fresh interpreter running `code`
+    with this checkout's bisimlab importable."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(bisimlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_thread_cap_env(tmp_path):
     # OpenBLAS reads its thread count when numpy loads, so BISIMLAB_THREADS
     # must be copied into the BLAS variables before that first import
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["BISIMLAB_THREADS"] = "1"
-    src = str(Path(bisimlab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert json.loads(out) == {v: "1" for v in THREAD_VARS}
+    assert python_with_src(NUMPY_IMPORT_SPY, str(tmp_path / "out"), env=env) == {v: "1" for v in THREAD_VARS}
+
+
+# runs each argv through main in one fresh interpreter; after each: its exit code, and whether numpy is loaded
+FRONT_END_PROBE = """
+import json, sys
+from bisimlab.cli import main
+runs = [("import", None, "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    runs.append((argv, code, "numpy" in sys.modules))
+print(json.dumps(runs))
+"""
+
+
+def test_front_end_runs_without_numpy(tmp_path):
+    # --help, usage errors and flag checks need no array: a cold start pays no numpy import for them
+    out = str(tmp_path / "out")
+    helps = [["--help"]] + [[command, "--help"] for command in
+                            ("bisim", "empirical-bisim", "collect", "train", "analyze", "verify")]
+    errors = [["train", "--preset", "nope", "--out-dir", out], ["bisim", "--out-dir", out],
+              ["bisim", "--counting", "8", "4", "--aux-tol", "-1", "--out-dir", out]]
+    runs = python_with_src(FRONT_END_PROBE, json.dumps(helps + errors))
+    assert runs == [["import", None, False]] + [[argv, 0, False] for argv in helps] + \
+        [[argv, 2, False] for argv in errors]
+    assert not os.path.exists(out)
 
 
 def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypatch):
@@ -359,6 +396,7 @@ def test_bisim_mdp_missing_key_exits_2(tmp_path, capsys, key):
     ("transition", [1, True]),
     ("num_observations", 2.9),
     ("num_actions", True),
+    ("reward", ["0", "1e3"]),  # and reals that are not JSON numbers
 ])
 def test_bisim_mdp_non_integer_id_exits_2(tmp_path, capsys, key, value):
     payload = {"num_observations": 2, "num_actions": 1, "transition": [1, 0], "aux": [[0.0], [1.0]],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,11 @@ def test_load_rejects_missing_keys(tmp_path_factory, dropped):
     ("transition", [0, 1, 2, 3, 4, 0, 1, 2, 3, False]),
     ("transition", [[0, 1], [2, 3], [4, 0], [1, 2], [3, 4.0]]),
     ("transition", [0, 1, 2, 3, 4, 0, 1, 2, 3, 2**70]),
+    ("reward", ["0", "1e3", "2", "3", "4"]),
+    ("aux", [[True], [False], [True], [False], [True]]),
+    ("initial_dist", ["0.2", 0.2, 0.2, 0.2, 0.2]),
+    ("initial_dist", [math.nan, 0.25, 0.25, 0.25, 0.25]),
+    ("reward", [math.nan, 1.0, 2.0, 3.0, 4.0]),
 ])
 def test_load_rejects_bad_shapes_and_types(tmp_path, key, value):
     path = tmp_path / "mdp.json"

@@ -5,7 +5,8 @@
 For the `tabular_counting` and `reward_aux` models it runs the training loop
 of `bisimlab.train.train` (batch gather, `loss_and_grads`, `adam_step`) and
 times, per step, the gather, `joint_loss` (the forward pass, timed inside
-`loss_and_grads`), the backward (the rest of `loss_and_grads`) and Adam. It
+`loss_and_grads`), the backward (the rest of `loss_and_grads`) and Adam, and
+counts the minor page faults per timed step (`ru_minflt`). It
 also times the matrix products alone that one step forms, with the same
 shapes: the floor no glue code can go below. The baseline is extracted with
 `git archive` into a temporary directory; both packages are loaded into this
@@ -24,6 +25,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -104,9 +106,12 @@ class Loop:
     def repeat(self, steps: int) -> dict[str, float]:
         for _ in range(WARMUP):
             self.step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         samples = np.array([self.step() for _ in range(steps)]) * 1e3
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         medians = dict(zip(PHASES, np.median(samples, axis=0).tolist()))
         medians["step_ms"] = float(np.median(samples.sum(axis=1)))
+        medians["minor_faults_per_step"] = faults / steps
         return medians
 
 
@@ -179,12 +184,14 @@ def main() -> int:
             "parameters": int(loops["change"].params.flat.size),
             "batch_size": loops["change"].config.batch_size,
             "steps_per_repeat": steps,
-            **{side: {phase: summary([run[phase] for run in runs[side]]) for phase in PHASES} for side in runs},
+            **{side: {key: summary([run[key] for run in runs[side]]) for key in (*PHASES, "minor_faults_per_step")}
+               for side in runs},
             "matmul_products": len(shapes),
             "matmul_floor_ms": summary(floor),
         }
     record = {
-        "what": "median over repeats of each repeat's median time per training step phase (ms)",
+        "what": "median over repeats of each repeat's median time per training step phase (ms),"
+                " and of its minor page faults per timed step",
         "command": f"python3 tools/step_bench.py --baseline {commit[:7]} --repeats {args.repeats}",
         "parent": commit,
         "repeats": args.repeats,
