@@ -25,21 +25,4 @@ for _name in ("presets", "fixtures", "train", "optim", "nn", "analysis", "counti
     _spec.loader.exec_module(_module)
 del _name, _spec, _module
 
-_EXPORTS = {
-    "mdp": ("DeterministicMDP", "counting_abstract_mdp", "random_mdp", "validate_mdp"),
-    "relation": ("PairRelation", "Partition"),
-    "bisim": ("apply_F", "distinguishing_oracle", "empirical_apply_F", "empirical_lfp",
-              "least_fixed_point", "partition_refine", "quotient"),
-    "dataset": ("TransitionDataset",),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted(_HOME)
-
-
-def __getattr__(name: str):
-    if name in _HOME:
-        return getattr(globals()[_HOME[name]], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __version__ = "0.1.0"

@@ -276,14 +276,12 @@ def empirical_apply_F(
     m = index.num_sources
     if rel.num_observations != m:
         raise ValueError("relation not dimensioned to the dataset's sources")
-    out = aux_disagreement(index.aux, aux_tol)
     # pad with an always-false row/col so dense index -1 (a missing action, or a
     # successor that is never a source) contributes nothing
     padded = np.zeros((m + 1, m + 1), dtype=bool)
     padded[:m, :m] = rel.bits
-    for succ in np.where(index.succ_dense < 0, m, index.succ_dense).T:
-        out |= padded[succ][:, succ]
-    return PairRelation(out)
+    succ = np.where(index.succ_dense < 0, m, index.succ_dense)
+    return PairRelation(_sweep(aux_disagreement(index.aux, aux_tol), succ, padded))
 
 
 def empirical_lfp(

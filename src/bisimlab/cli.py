@@ -32,19 +32,11 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_DIVERGENCE = 4
 
-# library functions that callers read as cli.<name>; each access reads the home
-# module's current binding, so a wrapper installed there is what cli.<name> gives
-_LIBRARY_NAMES = {
-    "dataset": ("load_dataset", "load_frame_sidecar", "parse_ppm", "save_dataset", "save_frame_sidecar"),
-    "mdp": ("counting_abstract_mdp", "load_mdp_json", "validate_mdp"),
-    "relation": ("write_partition_csv", "write_relation_csv"),
-}
-_HOME = {name: module for module, names in _LIBRARY_NAMES.items() for name in names}
-
 
 def __getattr__(name: str):
-    if name in _HOME:
-        return getattr(globals()[_HOME[name]], name)
+    # bench/test_bench.py reads cli.write_relation_csv, and must get a wrapper installed in relation
+    if name == "write_relation_csv":
+        return relation.write_relation_csv
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -66,14 +58,12 @@ def _input_error(exc: Exception) -> int:
 
 
 def _load_mdp(args) -> mdp.DeterministicMDP:
+    """The --counting or --mdp MDP; ValueError, before numpy loads, when neither flag is given."""
     if args.counting:
-        max_count, target_n = args.counting
-        return mdp.counting_abstract_mdp(max_count, target_n)
-    loaded = mdp.load_mdp_json(args.mdp)
-    errors = mdp.validate_mdp(loaded)
-    if errors:
-        raise ValueError("; ".join(errors))
-    return loaded
+        return mdp.counting_abstract_mdp(*args.counting)
+    if args.mdp is None:
+        raise ValueError("one of --mdp / --counting is required")
+    return mdp.load_mdp_json(args.mdp)
 
 
 def _check_aux_tol(value: float) -> None:
@@ -83,9 +73,6 @@ def _check_aux_tol(value: float) -> None:
 
 
 def cmd_bisim(args) -> int:
-    if args.mdp is None and not args.counting:
-        print("error: one of --mdp / --counting is required", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         _check_aux_tol(args.aux_tol)
         task = _load_mdp(args)
@@ -122,11 +109,8 @@ def cmd_bisim(args) -> int:
 def cmd_empirical_bisim(args) -> int:
     try:
         _check_aux_tol(args.aux_tol)
-    except ValueError as exc:
-        return _input_error(exc)
-    try:
         ds = dataset.load_dataset(args.dataset)
-        r_star_d, b_star_d, index = bisim.empirical_lfp(ds, args.aux_tol)
+        r_star_d, _, index = bisim.empirical_lfp(ds, args.aux_tol)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)
@@ -182,6 +166,9 @@ def _load_collected(dataset_path: str, channels: int) -> counting_env.CollectedD
     import numpy as np
 
     ds = dataset.load_dataset(dataset_path)
+    errors = ds.validate()
+    if errors:
+        raise ValueError(f"{dataset_path}: " + "; ".join(errors))
     frames_path = str(Path(dataset_path).with_name("frames.bsli"))
     blobs = dataset.load_frame_sidecar(frames_path)
     if len(blobs) != 2 * len(ds):
@@ -197,9 +184,9 @@ def cmd_train(args) -> int:
     overrides = {**args.config_extras, **{k: v for k, v in flags.items() if v is not None}}
     try:
         config = presets.preset_train_config(args.preset, args.seed, **overrides)
-        if args.dataset is not None:
-            env = presets.preset_env_config(args.preset, args.seed)
-            data = training.collected_train_data(_load_collected(args.dataset, env.channels))
+        if args.dataset is not None:  # frames decoded with the channels the presets collect
+            collected = _load_collected(args.dataset, counting_env.CountingEnvConfig.channels)
+            data = training.collected_train_data(collected)
         else:
             data = presets.preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
     except (OSError, ValueError) as exc:
@@ -301,12 +288,9 @@ def _eps_collapse(value) -> float | None:
 
 
 def cmd_verify(args) -> int:
-    if args.mdp is None and not args.counting:
-        print("error: one of --mdp / --counting is required", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
-        params, _ = nn.load_checkpoint(args.checkpoint)
         task = _load_mdp(args)
+        params, _ = nn.load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         _check_fits_mdp(params, embs, task.num_observations)
         report = analysis.verify_no_collapse(embs, bisim.partition_refine(task), _eps_collapse(args.eps_collapse))

@@ -158,7 +158,7 @@ def env_step(state: EpisodeState, action: float) -> tuple[Observation, float, bo
     if not np.isfinite(action):
         raise ValueError("action must be finite")
     config = state.config
-    if action > 0 or action == 0:  # zero ties toward increment
+    if binarize_action(action) == ACTION_INC:
         state.count = min(state.count + 1, config.max_count)
     else:
         state.count = max(state.count - 1, 0)

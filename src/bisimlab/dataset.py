@@ -233,22 +233,28 @@ def save_frame_sidecar(frames: list[bytes], path: str) -> None:
 
 
 def parse_ppm(blob: bytes, channels: int) -> np.ndarray:
-    """Decode a binary P6 PPM into a [channels, H, W] uint8 array (channels 1 or 3)."""
-    if not blob.startswith(b"P6"):
-        raise ValueError("not a P6 PPM")
+    """Decode a binary P6 PPM into a [channels, H, W] uint8 array (channels 1 or 3);
+    ValueError unless it is what ppm_bytes writes: maxval 255, H and W at least 1,
+    and H * W * 3 pixel bytes."""
     parts = blob.split(b"\n", 3)
     if len(parts) != 4:
         raise ValueError("truncated PPM header")
-    w, h = (int(x) for x in parts[1].split())
-    rgb = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * 3).reshape(h, w, 3)
-    frame = rgb.transpose(2, 0, 1)
+    magic, size, maxval, pixels = parts
+    w, h = (int(x) for x in size.split())
+    if magic != b"P6" or maxval != b"255" or min(w, h) < 1:
+        raise ValueError(f"not an 8-bit P6 PPM of positive size: {b' '.join(parts[:3])!r}")
+    if len(pixels) != h * w * 3:
+        raise ValueError(f"{w}x{h} PPM with {len(pixels)} pixel bytes, not {h * w * 3}")
+    frame = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
     if channels == 1:
         return frame[:1].copy()  # gray frames are stored with equal channels
     return frame.copy()
 
 
 def load_frame_sidecar(path: str) -> list[bytes]:
-    """Read a BSLI file; ValueError for a bad magic or version, or a short header or offset table."""
+    """Read a BSLI file; ValueError for a bad magic or version, a short header or offset
+    table, or bytes before the first frame. The last frame runs to the end of the file,
+    so bytes after it, like a cut inside it, surface when parse_ppm decodes it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SIDECAR_MAGIC:
@@ -261,6 +267,8 @@ def load_frame_sidecar(path: str) -> list[bytes]:
     if len(raw) - _OFFSETS_START < 8 * count:
         raise ValueError(f"{path}: short offset table for {count} frames")
     offsets = np.frombuffer(raw, dtype="<u8", count=count, offset=_OFFSETS_START).tolist()
+    if offsets[:1] not in ([], [0]):
+        raise ValueError(f"{path}: {offsets[0]} bytes before the first frame")
     payload = raw[_OFFSETS_START + 8 * count:]
     ends = offsets[1:] + [len(payload)]
     if any(a > b for a, b in zip(offsets, ends)):

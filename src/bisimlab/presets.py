@@ -30,10 +30,6 @@ IMAGE_COLLECT_STEPS = 6000
 IMAGE_ACTION_REPEAT = 4
 
 
-def preset_env_config(name: str, seed: int) -> counting_env.CountingEnvConfig:
-    return counting_env.CountingEnvConfig(max_count=8, target_n=4, image_size=32, channels=1, seed=seed)
-
-
 def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -54,7 +50,7 @@ def preset_data(name: str, seed: int, collect_steps: int | None = None) -> Prese
     abstract = mdp.counting_abstract_mdp(8, 4)
     if name == "tabular_counting":
         return PresetData(train_data=training.tabular_train_data(abstract), mdp=abstract)
-    env = preset_env_config(name, seed)
+    env = counting_env.CountingEnvConfig(seed=seed)  # the image presets collect at its defaults
     steps = collect_steps if collect_steps is not None else IMAGE_COLLECT_STEPS
     collected = counting_env.collect_dataset(env, steps=steps, action_repeat=IMAGE_ACTION_REPEAT,
                                              rng=np.random.default_rng(seed))

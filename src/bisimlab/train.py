@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -217,16 +217,7 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
                 best_acc = centroid_acc
                 best_params = params.copy()
         if step % config.report_every == 0 or step == config.steps:
-            metrics.append(
-                {
-                    "step": step,
-                    "dyn_loss": report.dyn_loss,
-                    "aux_loss": report.aux_loss,
-                    "total": report.total,
-                    "decoder_loss": report.decoder_loss,
-                    "centroid_acc": centroid_acc,
-                }
-            )
+            metrics.append({**asdict(report), "centroid_acc": centroid_acc})
     return TrainResult(
         params=params, best_params=best_params, best_centroid_acc=best_acc, metrics=metrics
     )

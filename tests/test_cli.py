@@ -13,7 +13,7 @@ import pytest
 import bisimlab
 from bisimlab import cli
 from bisimlab.cli import main
-from bisimlab.dataset import TransitionDataset, save_dataset
+from bisimlab.dataset import TransitionDataset, load_dataset, load_frame_sidecar, save_dataset, save_frame_sidecar
 from bisimlab.mdp import counting_abstract_mdp, random_mdp, save_mdp_json
 from bisimlab.train import collected_train_data
 
@@ -141,6 +141,7 @@ def test_train_analyze_verify_tabular(tmp_path, capsys):
     assert os.path.exists(ckpt)
     metrics = [json.loads(l) for l in open(os.path.join(run_dir, "metrics.jsonl"))]
     assert metrics[-1]["step"] == 300
+    assert list(metrics[-1]) == ["step", "dyn_loss", "aux_loss", "total", "decoder_loss", "centroid_acc"]
 
     an_dir = str(tmp_path / "analysis")
     code, stdout, _ = run(["analyze", "--checkpoint", ckpt, "--out-dir", an_dir], capsys)
@@ -290,7 +291,8 @@ def test_front_end_runs_without_numpy(tmp_path):
     helps = [["--help"]] + [[command, "--help"] for command in
                             ("bisim", "empirical-bisim", "collect", "train", "analyze", "verify")]
     errors = [["train", "--preset", "nope", "--out-dir", out], ["bisim", "--out-dir", out],
-              ["bisim", "--counting", "8", "4", "--aux-tol", "-1", "--out-dir", out]]
+              ["bisim", "--counting", "8", "4", "--aux-tol", "-1", "--out-dir", out],
+              ["verify", "--checkpoint", "x.pjpa", "--out-dir", out]]
     runs = python_with_src(FRONT_END_PROBE, json.dumps(helps + errors))
     assert runs == [["import", None, False]] + [[argv, 0, False] for argv in helps] + \
         [[argv, 2, False] for argv in errors]
@@ -439,10 +441,12 @@ def _image_checkpoint(tmp_path, capsys, dataset):
     return tmp_path / "train" / "checkpoint.pjpa"
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "trailing", "no-frames", "few-frames"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "trailing", "no-frames", "few-frames",
+                                    "action-out-of-range", "ppm-maxval", "sidecar-leading-junk"])
 @pytest.mark.parametrize("command", ["train", "analyze", "verify"])
 def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command, damage):
     dataset = collected_dir / "dataset.bslb"
+    sidecar = collected_dir / "frames.bsli"
     if command != "train":
         ckpt = _image_checkpoint(tmp_path, capsys, dataset)
     if damage == "missing":
@@ -452,10 +456,22 @@ def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command,
     elif damage == "trailing":
         dataset.write_bytes(dataset.read_bytes() + bytes(7))
     elif damage == "no-frames":
-        (collected_dir / "frames.bsli").unlink()
-    else:
-        frames = cli.load_frame_sidecar(str(collected_dir / "frames.bsli"))
-        cli.save_frame_sidecar(frames[:-2], str(collected_dir / "frames.bsli"))
+        sidecar.unlink()
+    elif damage == "few-frames":
+        save_frame_sidecar(load_frame_sidecar(str(sidecar))[:-2], str(sidecar))
+    elif damage == "action-out-of-range":  # the header says |A| = 2
+        ds = load_dataset(str(dataset))
+        ds.actions[3] = 5
+        save_dataset(ds, str(dataset))
+    elif damage == "ppm-maxval":
+        frames = load_frame_sidecar(str(sidecar))
+        frames[0] = frames[0].replace(b"\n255\n", b"\n1\n", 1)
+        save_frame_sidecar(frames, str(sidecar))
+    else:  # four bytes before the first frame, every offset moved past them
+        raw = sidecar.read_bytes()
+        count = int.from_bytes(raw[8:16], "little")
+        offsets = np.frombuffer(raw, dtype="<u8", count=count, offset=16) + np.uint64(4)
+        sidecar.write_bytes(raw[:16] + offsets.astype("<u8").tobytes() + b"junk" + raw[16 + 8 * count:])
     out = ["--out-dir", str(tmp_path / "out")]
     if command == "train":
         argv = ["train", "--preset", "reward_aux", "--dataset", str(dataset), "--steps", "2", *out]
@@ -472,7 +488,7 @@ def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command,
 def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected_dir):
     dataset = collected_dir / "dataset.bslb"
     ckpt = _image_checkpoint(tmp_path, capsys, dataset)
-    top = int(cli.load_dataset(str(dataset)).sources.max())
+    top = int(load_dataset(str(dataset)).sources.max())
     assert top >= 2  # --counting needs a target count of at least 1
     code, _, err = run(["verify", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--counting", str(top - 1), "1",
                         "--out-dir", str(tmp_path / "out")], capsys)

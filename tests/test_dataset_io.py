@@ -88,6 +88,43 @@ def test_sidecar_roundtrip(tmp_path):
     assert np.array_equal(parse_ppm(loaded[1], channels=3), data.successor_frames[0])
 
 
+@pytest.mark.parametrize("blob", [
+    b"P6\n2 2\n1\n" + bytes(12),  # maxval 1
+    b"P6\n0 5\n255\n",  # zero width
+    b"P6\n5 0\n255\n",  # zero height
+    b"P5\n2 2\n255\n" + bytes(4),  # gray PGM
+    ppm_bytes(np.zeros((1, 2, 2), dtype=np.uint8)) + b"\x00",  # a pixel byte beyond w * h * 3
+    ppm_bytes(np.zeros((1, 2, 2), dtype=np.uint8))[:-1],  # one short
+])
+def test_parse_ppm_rejects_what_ppm_bytes_never_writes(blob):
+    with pytest.raises(ValueError):
+        parse_ppm(blob, 1)
+
+
+def _sidecar_frames():
+    return [ppm_bytes(np.full((1, 3, 2), k, dtype=np.uint8)) for k in range(4)]
+
+
+def test_sidecar_with_bytes_before_the_first_frame_raises(tmp_path):
+    path = tmp_path / "frames.bsli"
+    save_frame_sidecar(_sidecar_frames(), str(path))
+    raw = path.read_bytes()
+    offsets = np.frombuffer(raw, dtype="<u8", count=4, offset=16) + np.uint64(4)
+    path.write_bytes(raw[:16] + offsets.astype("<u8").tobytes() + b"junk" + raw[16 + 8 * 4:])
+    with pytest.raises(ValueError, match="4 bytes before the first frame"):
+        load_frame_sidecar(str(path))
+
+
+def test_bytes_after_the_last_sidecar_frame_fail_its_decoding(tmp_path):
+    path = tmp_path / "frames.bsli"
+    save_frame_sidecar(_sidecar_frames(), str(path))
+    path.write_bytes(path.read_bytes() + b"junk")
+    *frames, last = load_frame_sidecar(str(path))  # the last frame runs to the end of the file
+    assert frames == _sidecar_frames()[:-1]
+    with pytest.raises(ValueError, match="2x3 PPM with 22 pixel bytes, not 18"):
+        parse_ppm(last, 1)
+
+
 def _collected_files(tmp_path):
     """dataset.bslb and frames.bsli of a short real collect."""
     collected = collect_dataset(CountingEnvConfig(image_size=8, channels=1, seed=0), steps=12,

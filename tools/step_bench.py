@@ -3,7 +3,10 @@
     python3 tools/step_bench.py --baseline <git revision> [--repeats 11] [--out BENCH_step.json]
 
 For the `tabular_counting` and `reward_aux` models it runs the training loop
-of `bisimlab.train.train` (batch gather, `loss_and_grads`, `adam_step`) and
+of `bisimlab.train.train` (batch gather, `loss_and_grads`, `adam_step`) on
+the data `train --preset <model>` trains on, built once with this checkout
+and fed to both sides; the `reward_aux` records are collected to disk and
+read back as `train --dataset` reads them. It
 times, per step, the gather, `joint_loss` (the forward pass, timed inside
 `loss_and_grads`), the backward (the rest of `loss_and_grads`) and Adam, and
 counts the minor page faults per timed step (`ru_minflt`). It
@@ -20,6 +23,7 @@ CPU, the highest-numbered one it may use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import io
 import json
@@ -43,6 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODELS = {"tabular_counting": 400, "reward_aux": 40}  # model -> timed steps per repeat
 WARMUP = 5  # untimed steps before each repeat
 COLLECT_STEPS = 600  # image records for reward_aux, as the benchmark's image-pipeline collects
+SEED = 1
 PHASES = ("gather_ms", "joint_loss_ms", "backward_ms", "adam_ms", "step_ms")
 
 
@@ -50,7 +55,8 @@ def load_package(src: Path) -> dict:
     """The bisimlab modules under `src`, imported apart from any other copy."""
     sys.path.insert(0, str(src))
     try:
-        pkg = {name: importlib.import_module(f"bisimlab.{name}") for name in ("nn", "optim", "presets", "train")}
+        pkg = {name: importlib.import_module(f"bisimlab.{name}")
+               for name in ("cli", "counting_env", "nn", "optim", "presets", "train")}
         pkg["joint_loss"] = pkg["nn"].joint_loss  # before a Loop wraps it
         return pkg
     finally:
@@ -59,21 +65,37 @@ def load_package(src: Path) -> dict:
             del sys.modules[key]
 
 
+def train_data(pkg: dict, preset: str):
+    """The TrainData `train --preset <preset> --seed SEED` trains on: the tabular
+    tables, or the records of a collect read back from its dataset.bslb and
+    frames.bsli as `train --dataset` reads them."""
+    if preset == "tabular_counting":
+        return pkg["presets"].preset_data(preset, SEED).train_data
+    cli = pkg["cli"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["collect", "--steps", str(COLLECT_STEPS), "--seed", str(SEED), "--out-dir", tmp])
+        if code != 0:
+            raise RuntimeError(f"collect exited {code}")
+        channels = pkg["counting_env"].CountingEnvConfig.channels  # what the image presets decode
+        collected = cli._load_collected(str(Path(tmp) / "dataset.bslb"), channels)
+    return pkg["train"].collected_train_data(collected)
+
+
 class Loop:
     """train()'s step loop for one preset, timing each phase of each step."""
 
-    def __init__(self, pkg: dict, preset: str, seed: int = 1):
+    def __init__(self, pkg: dict, preset: str, data):
         nn, presets, train = pkg["nn"], pkg["presets"], pkg["train"]
         self.nn, self.optim = nn, pkg["optim"]
-        self.config = presets.preset_train_config(preset, seed)
-        self.data = presets.preset_data(preset, seed, collect_steps=COLLECT_STEPS).train_data
+        self.config = presets.preset_train_config(preset, SEED)
+        self.data = data
         self.aux = train.resolve_aux_targets(self.config, self.data)
         c = self.config
         self.model_config = nn.ModelConfig(
             obs_kind=self.data.obs_kind, obs_shape=self.data.obs_shape, num_actions=self.data.num_actions,
             latent_dim=c.latent_dim, aux_dim=self.aux.shape[1], encoder_hidden=c.encoder_hidden,
             dynamics_hidden=c.dynamics_hidden, aux_hidden=c.aux_hidden, decoder_hidden=c.decoder_hidden)
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(SEED)
         self.params = nn.init_params(self.model_config, self.rng)
         self.state = self.optim.AdamState()
         self.forward_s = 0.0
@@ -172,7 +194,8 @@ def main() -> int:
         packages = {"parent": load_package(Path(tmp) / "src"), "change": load_package(ROOT / "src")}
     models = {}
     for preset, steps in MODELS.items():
-        loops = {side: Loop(pkg, preset) for side, pkg in packages.items()}
+        data = train_data(packages["change"], preset)
+        loops = {side: Loop(pkg, preset, data) for side, pkg in packages.items()}
         shapes = products(packages["change"], loops["change"])
         runs = {side: [] for side in loops}
         floor = []
