@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bisimlab.relation import Partition
+from bisimlab import relation  # for an annotation: reached through its lazy module, it need not run
 
 
 @dataclass
@@ -162,7 +162,7 @@ class CollapseReport:
         )
 
 
-def verify_no_collapse(embs: EmbeddingSet, part: Partition, eps_collapse: float | None) -> CollapseReport:
+def verify_no_collapse(embs: EmbeddingSet, part: relation.Partition, eps_collapse: float | None) -> CollapseReport:
     """Check the executable form of the no-collapse guarantee.
 
     `part` is the largest bisimulation over the observations. Every embedded

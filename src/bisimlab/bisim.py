@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from bisimlab.dataset import CoObservedIndex, TransitionDataset
+# only the empirical engine reads dataset: reached through its lazy module, it runs with that engine alone
+from bisimlab import dataset
 from bisimlab.mdp import DeterministicMDP
 from bisimlab.relation import PairRelation, Partition, canonicalize_blocks
 
@@ -261,7 +262,7 @@ def distinguishing_oracle(
 # --- empirical path (dataset-restricted operator) ---
 
 
-def build_co_observed_index(ds: TransitionDataset) -> CoObservedIndex:
+def build_co_observed_index(ds: dataset.TransitionDataset) -> dataset.CoObservedIndex:
     errors, index = ds.scan()
     if errors:
         raise ValueError("inconsistent dataset: " + "; ".join(errors))
@@ -269,7 +270,7 @@ def build_co_observed_index(ds: TransitionDataset) -> CoObservedIndex:
 
 
 def empirical_apply_F(
-    index: CoObservedIndex, rel: PairRelation, aux_tol: float = 0.0
+    index: dataset.CoObservedIndex, rel: PairRelation, aux_tol: float = 0.0
 ) -> PairRelation:
     """F_D: aux disagreement over observed sources, plus successor
     disagreement through co-observed actions only."""
@@ -285,8 +286,8 @@ def empirical_apply_F(
 
 
 def empirical_lfp(
-    ds: TransitionDataset, aux_tol: float = 0.0
-) -> tuple[PairRelation, PairRelation, CoObservedIndex]:
+    ds: dataset.TransitionDataset, aux_tol: float = 0.0
+) -> tuple[PairRelation, PairRelation, dataset.CoObservedIndex]:
     """Least fixed point of F_D from the empty relation.
 
     Returns (R*_D, B*_D, index) where both relations are over the dataset's
@@ -315,8 +316,8 @@ def empirical_lfp(
     # the sink's block holds the sink alone, so the sources' blocks number 0..k-1
     _, rep, block_of = np.unique(block_of[:m], return_index=True, return_inverse=True)
     succ_block = np.append(block_of, -1)[succ[rep]]
-    blocks = CoObservedIndex(obs_ids=index.obs_ids[rep], aux=labels[rep].astype(np.float64).reshape(-1, 1),
-                             has_action=succ_block >= 0, succ_dense=succ_block)
+    blocks = dataset.CoObservedIndex(obs_ids=index.obs_ids[rep], aux=labels[rep].astype(np.float64).reshape(-1, 1),
+                                     has_action=succ_block >= 0, succ_dense=succ_block)
     rel = PairRelation.empty(rep.shape[0])
     while True:
         nxt = empirical_apply_F(blocks, rel)

@@ -5,24 +5,22 @@ run writes a manifest.json with the resolved config, seed, and sha256 hashes
 of the artifacts it produced. Exit codes: 0 success, 2 validation error,
 3 verification failed, 4 divergence.
 
-The front end runs on the standard library. Importing this module, --help,
-argparse's usage errors and the flag checks made before any input is read
-run `presets` and no other bisimlab module, and never import numpy. So the
-handlers reach the library through its lazily registered modules
-(`dataset.load_dataset`: a name imported from `dataset` would run that
-module here), and the helpers that build arrays import numpy in their
-bodies. Each command imports numpy when it first reaches another module.
+The front end runs on a small part of the standard library. Importing this
+module, --help, argparse's usage errors and the flag checks made before any
+input is read run `presets` and no other bisimlab module, import argparse,
+math, sys and pathlib, and never import numpy. So the handlers reach the
+library through its lazily registered modules (`dataset.load_dataset`: a
+name imported from `dataset` would run that module here), the helpers that
+build arrays import numpy in their bodies, and json, hashlib, dataclasses
+and typing are imported where an output is written or a --config file is
+read. Each command imports numpy when it first reaches another module.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
-import json
 import math
 import sys
-import typing
 from pathlib import Path
 
 from bisimlab import analysis, bisim, counting_env, dataset, mdp, nn, presets, relation, train as training
@@ -41,15 +39,32 @@ def __getattr__(name: str):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):  # a whole relation.csv, O(|O|^2) bytes, would be a second copy
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, config: dict, artifacts: list[Path]) -> None:
+    import json
+
     manifest = {
         "config": config,
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _report(summary: dict, path: Path | None = None) -> None:
+    """Print the summary as one JSON line, and write it indented to `path` when one is given."""
+    import json
+
+    if path is not None:
+        path.write_text(json.dumps(summary, indent=2))
+    print(json.dumps(summary))
 
 
 def _input_error(exc: Exception) -> int:
@@ -70,6 +85,12 @@ def _check_aux_tol(value: float) -> None:
     """ValueError unless --aux-tol is a finite number >= 0."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"--aux-tol must be a finite number >= 0, not {value!r}")
+
+
+def _check_sample_size(value: int) -> None:
+    """ValueError unless --sample-size is at least 1."""
+    if value < 1:
+        raise ValueError(f"--sample-size must be >= 1, not {value}")
 
 
 def cmd_bisim(args) -> int:
@@ -98,11 +119,10 @@ def cmd_bisim(args) -> int:
         "engine": args.engine,
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2))
+    _report(summary, summary_path)
     _write_manifest(out, {"command": "bisim", "engine": args.engine, "aux_tol": args.aux_tol,
                           "counting": args.counting, "mdp": args.mdp},
                     [rel_path, part_path, summary_path])
-    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -123,10 +143,9 @@ def cmd_empirical_bisim(args) -> int:
         "transitive_complement": r_star_d.complement_is_transitive(),
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2))
+    _report(summary, summary_path)
     _write_manifest(out, {"command": "empirical-bisim", "dataset": args.dataset,
                           "aux_tol": args.aux_tol}, [rel_path, summary_path])
-    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -149,15 +168,17 @@ def cmd_collect(args) -> int:
                                                  rng=np.random.default_rng(args.seed))
     except ValueError as exc:
         return _input_error(exc)
+    from dataclasses import asdict
+
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_path, frames_path = out / "dataset.bslb", out / "frames.bsli"
     dataset.save_dataset(collected.dataset, str(ds_path))
     dataset.save_frame_sidecar(collected.ppm_frames(), str(frames_path))
-    _write_manifest(out, {"command": "collect", "env": dataclasses.asdict(config),
+    _write_manifest(out, {"command": "collect", "env": asdict(config),
                           "steps": args.steps, "action_repeat": args.action_repeat,
                           "seed": args.seed}, [ds_path, frames_path])
-    print(json.dumps({"records": len(collected.dataset)}))
+    _report({"records": len(collected.dataset)})
     return EXIT_OK
 
 
@@ -183,6 +204,8 @@ def cmd_train(args) -> int:
              "dyn_loss_enabled": False if args.no_dyn_loss else None}
     overrides = {**args.config_extras, **{k: v for k, v in flags.items() if v is not None}}
     try:
+        if args.collect_steps is not None and args.collect_steps < 1:
+            raise ValueError(f"--collect-steps must be >= 1, not {args.collect_steps}")
         config = presets.preset_train_config(args.preset, args.seed, **overrides)
         if args.dataset is not None:  # frames decoded with the channels the presets collect
             collected = _load_collected(args.dataset, counting_env.CountingEnvConfig.channels)
@@ -205,8 +228,8 @@ def cmd_train(args) -> int:
     _write_manifest(out, {"command": "train", "preset": args.preset, "seed": args.seed,
                           "train_config": echo["train_config"]},
                     [ckpt_path, metrics_path])
-    print(json.dumps({"best_centroid_acc": result.best_centroid_acc,
-                      "final": result.metrics[-1] if result.metrics else None}))
+    _report({"best_centroid_acc": result.best_centroid_acc,
+             "final": result.metrics[-1] if result.metrics else None})
     return EXIT_OK
 
 
@@ -222,8 +245,6 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
         source_ids = np.arange(n)
     elif args.dataset is None:
         raise ValueError("image checkpoints need --dataset")
-    elif args.sample_size < 1:
-        raise ValueError("--sample-size must be >= 1")
     else:
         collected = _load_collected(args.dataset, params.config.obs_shape[0])
         rng = np.random.default_rng(args.seed)
@@ -238,6 +259,7 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
 
 def cmd_analyze(args) -> int:
     try:
+        _check_sample_size(args.sample_size)
         params, _ = nn.load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         proj, fractions, _ = analysis.pca_2d(embs)
@@ -256,11 +278,10 @@ def cmd_analyze(args) -> int:
         "explained_variance": fractions.tolist(),
     }
     summary_path = out / "analysis.json"
-    summary_path.write_text(json.dumps(summary, indent=2))
+    _report(summary, summary_path)
     _write_manifest(out, {"command": "analyze", "checkpoint": args.checkpoint,
                           "dataset": args.dataset, "seed": args.seed},
                     [pca_path, dist_path, heat_path, summary_path])
-    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -289,11 +310,13 @@ def _eps_collapse(value) -> float | None:
 
 def cmd_verify(args) -> int:
     try:
+        eps_collapse = _eps_collapse(args.eps_collapse)
+        _check_sample_size(args.sample_size)
         task = _load_mdp(args)
         params, _ = nn.load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         _check_fits_mdp(params, embs, task.num_observations)
-        report = analysis.verify_no_collapse(embs, bisim.partition_refine(task), _eps_collapse(args.eps_collapse))
+        report = analysis.verify_no_collapse(embs, bisim.partition_refine(task), eps_collapse)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)
@@ -381,6 +404,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
     ValueError on a key that is neither a flag of any subcommand nor a
     TrainConfig field, and on a value of the wrong JSON type for its flag or
     TrainConfig field."""
+    import json
+    import typing
+
     values = json.loads(Path(args.config).read_text())
     if not isinstance(values, dict):
         raise ValueError(f"{args.config}: not a JSON object")
@@ -423,6 +449,8 @@ def _typed(path: str, key: str, value, kind):
     """A config-file value for a flag or TrainConfig field of type `kind`
     (None: no type to check), a list made a tuple; ValueError when its JSON
     type does not fit."""
+    import json
+
     if kind is None:
         return value
     fits, name = _JSON_TYPES[kind]
@@ -441,6 +469,8 @@ def _check_flag(path: str, action: argparse.Action, value) -> None:
     flag that takes several, else a value of its type (a string, or what
     _UNTYPED_FLAGS names, for an untyped flag). A string for a typed flag is left to argparse to convert,
     and null stands for a flag whose default is None."""
+    import json
+
     if value is None and action.default is None:
         return
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):

@@ -170,7 +170,7 @@ def save_dataset(ds: TransitionDataset, path: str) -> None:
         rec["action"] = ds.actions
         rec["successor"] = ds.successors
         rec["aux"] = ds.aux
-        fh.write(rec.tobytes())
+        fh.write(rec.data)  # the array's own buffer: tobytes() would copy it first
 
 
 def load_dataset(path: str) -> TransitionDataset:

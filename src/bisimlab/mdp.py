@@ -130,7 +130,7 @@ def save_mdp_json(mdp: DeterministicMDP, path: str) -> None:
         "initial_dist": mdp.initial_dist.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # json.dump streams through the pure-Python encoder; dumps uses the C one
 
 
 MDP_JSON_KEYS = ("num_observations", "num_actions", "transition", "aux", "reward", "initial_dist")

@@ -6,13 +6,12 @@ lighter weights let the dynamics loss collapse the encoder before the reward
 signal anchors it. The reward_only preset drops the base learning rate to
 1e-5, which is what keeps that configuration from diverging.
 
-The CLI reads PRESET_NAMES to build its parser, so this module imports numpy
-only where it draws data.
+The CLI reads PRESET_NAMES to build its parser, so at its top this module
+imports only the package's lazily registered modules, and numpy only where
+it draws data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from bisimlab import counting_env, mdp, train as training
 
@@ -36,11 +35,13 @@ def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConf
     return training.TrainConfig(**{**PRESETS[name], "seed": seed, **overrides})
 
 
-@dataclass
 class PresetData:
-    train_data: training.TrainData
-    mdp: mdp.DeterministicMDP
-    collected: counting_env.CollectedData | None = None
+    """What a preset trains on, the abstract MDP, and the image rollouts (None for tabular_counting).
+    A plain class: a dataclass would import dataclasses into the CLI's front end."""
+
+    def __init__(self, train_data: training.TrainData, mdp: mdp.DeterministicMDP,
+                 collected: counting_env.CollectedData | None = None) -> None:
+        self.train_data, self.mdp, self.collected = train_data, mdp, collected
 
 
 def preset_data(name: str, seed: int, collect_steps: int | None = None) -> PresetData:

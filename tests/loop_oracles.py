@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from bisimlab.analysis import CollapseReport, DistanceMatrix, EmbeddingSet
-from bisimlab.bisim import CoObservedIndex, aux_disagreement, aux_labels
-from bisimlab.dataset import TransitionDataset
+from bisimlab.bisim import aux_disagreement, aux_labels
+from bisimlab.dataset import CoObservedIndex, TransitionDataset
 from bisimlab.mdp import DeterministicMDP
 from bisimlab.relation import PairRelation, Partition, canonicalize_blocks
 

@@ -270,33 +270,69 @@ def test_thread_cap_env(tmp_path):
     assert python_with_src(NUMPY_IMPORT_SPY, str(tmp_path / "out"), env=env) == {v: "1" for v in THREAD_VARS}
 
 
-# runs each argv through main in one fresh interpreter; after each: its exit code, and whether numpy is loaded
+# runs each argv through main in one fresh interpreter; after each: its exit code, and which of
+# numpy and the standard library's heavier modules are loaded. The probe reads its argvs with ast
+# and imports json only to print, once every run is done.
 FRONT_END_PROBE = """
-import json, sys
+import ast, sys
 from bisimlab.cli import main
-runs = [("import", None, "numpy" in sys.modules)]
-for argv in json.loads(sys.argv[1]):
+
+def loaded():
+    return [name for name in ("numpy", "json", "hashlib", "dataclasses") if name in sys.modules]
+
+runs = [("import", None, loaded())]
+for argv in ast.literal_eval(sys.argv[1]):
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    runs.append((argv, code, "numpy" in sys.modules))
+    runs.append((argv, code, loaded()))
+import json
 print(json.dumps(runs))
 """
 
 
+# flags checked before any input is read: the checkpoint named here does not exist
+FLAG_CHECKS_BEFORE_INPUT = [
+    ["verify", "--checkpoint", "x.pjpa", "--counting", "8", "4", "--eps-collapse", "-1"],
+    ["verify", "--checkpoint", "x.pjpa", "--counting", "8", "4", "--sample-size", "0"],
+    ["analyze", "--checkpoint", "x.pjpa", "--sample-size", "0"],
+    ["train", "--collect-steps", "0"],
+]
+
+
 def test_front_end_runs_without_numpy(tmp_path):
-    # --help, usage errors and flag checks need no array: a cold start pays no numpy import for them
+    # --help, usage errors and flag checks need no array and write no JSON: a cold start pays
+    # for neither numpy nor json, hashlib or dataclasses
     out = str(tmp_path / "out")
     helps = [["--help"]] + [[command, "--help"] for command in
                             ("bisim", "empirical-bisim", "collect", "train", "analyze", "verify")]
     errors = [["train", "--preset", "nope", "--out-dir", out], ["bisim", "--out-dir", out],
               ["bisim", "--counting", "8", "4", "--aux-tol", "-1", "--out-dir", out],
-              ["verify", "--checkpoint", "x.pjpa", "--out-dir", out]]
-    runs = python_with_src(FRONT_END_PROBE, json.dumps(helps + errors))
-    assert runs == [["import", None, False]] + [[argv, 0, False] for argv in helps] + \
-        [[argv, 2, False] for argv in errors]
+              ["verify", "--checkpoint", "x.pjpa", "--out-dir", out],
+              *([*argv, "--out-dir", out] for argv in FLAG_CHECKS_BEFORE_INPUT)]
+    runs = python_with_src(FRONT_END_PROBE, repr(helps + errors))
+    assert runs == [["import", None, []]] + [[argv, 0, []] for argv in helps] + \
+        [[argv, 2, []] for argv in errors]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", FLAG_CHECKS_BEFORE_INPUT)
+def test_flag_checked_before_any_input_exits_2_naming_it(tmp_path, capsys, argv):
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    flag = argv[-2]
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--sample-size", "0"],
+                                  ["verify", "--counting", "8", "4", "--sample-size", "0"]])
+def test_sample_size_below_1_exits_2_on_a_one_hot_checkpoint(tmp_path, capsys, tabular_checkpoint, argv):
+    code, _, err = run([*argv, "--checkpoint", str(tabular_checkpoint), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: --sample-size must be >= 1, not 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypatch):
@@ -744,6 +780,33 @@ def test_bisim_and_verify_do_not_load_numpy_ma(tmp_path, tabular_checkpoint):
     )
     done = python("-c", script)
     assert done.returncode == 0, done.stderr
+
+
+# runs one argv through main in a fresh interpreter; prints its exit code and the bisimlab modules that ran
+MODULES_RUN_PROBE = """
+import sys, types
+from bisimlab.cli import main
+code = main(sys.argv[1:])
+# type() reads the class without the attribute access that would run a lazy module
+ran = sorted(name.removeprefix("bisimlab.") for name, module in sys.modules.items()
+             if name.startswith("bisimlab.") and type(module) is types.ModuleType)
+import json
+print(json.dumps([code, ran]))
+"""
+
+FRONT_END = {"cli", "presets"}
+
+
+@pytest.mark.parametrize("argv, modules", [  # the README's table of the modules each command runs
+    (["bisim", "--counting", "8", "4"], {"bisim", "mdp", "relation"}),
+    (["train", "--preset", "tabular_counting", "--steps", "2"], {"train", "nn", "optim", "analysis", "mdp"}),
+    (["verify", "--checkpoint", None, "--counting", "8", "4"], {"nn", "analysis", "bisim", "mdp", "relation"}),
+])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, tabular_checkpoint, argv, modules):
+    argv = [str(tabular_checkpoint) if a is None else a for a in argv]
+    code, ran = python_with_src(MODULES_RUN_PROBE, *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert set(ran) == FRONT_END | modules
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisimlab import dataset as dataset_module
 from bisimlab.counting_env import CountingEnvConfig, collect_dataset
 from bisimlab.dataset import (
     TransitionDataset,
@@ -56,6 +57,28 @@ def test_vector_aux_roundtrip(tmp_path):
     loaded = load_dataset(path)
     assert loaded.aux_dim == 3
     assert np.array_equal(loaded.aux, ds.aux)
+
+
+def random_dataset(rng, n, na, m):
+    return TransitionDataset(n, na, rng.integers(0, n, m), rng.integers(0, na, m), rng.integers(0, n, m),
+                             rng.standard_normal((m, 2)))
+
+
+@pytest.mark.parametrize("ds", [
+    sample_dataset(),
+    TransitionDataset(4, 1, [0, 1], [0, 0], [2, 3], np.arange(6.0).reshape(2, 3)),
+    TransitionDataset(3, 2, [], [], [], np.zeros((0, 1))),
+    random_dataset(np.random.default_rng(0), 50, 4, 1000),
+])
+def test_save_dataset_writes_the_bytes_of_tobytes(tmp_path, ds):
+    # the writer hands the record array's buffer to the file; it must match the copy tobytes() made
+    rec = np.zeros(len(ds), dtype=dataset_module._record_dtype(ds.aux_dim))
+    rec["source"], rec["action"], rec["successor"], rec["aux"] = ds.sources, ds.actions, ds.successors, ds.aux
+    header = dataset_module._HEADER.pack(dataset_module.FORMAT_VERSION, ds.num_observations, ds.num_actions,
+                                         ds.aux_dim, len(ds))
+    path = tmp_path / "data.bslb"
+    save_dataset(ds, str(path))
+    assert path.read_bytes() == dataset_module.MAGIC + header + rec.tobytes()
 
 
 def test_validate_reports_out_of_range():

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -88,6 +89,19 @@ def test_mdp_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.transition, m.transition)
     assert np.allclose(loaded.aux, m.aux)
     assert np.allclose(loaded.initial_dist, m.initial_dist)
+
+
+@pytest.mark.parametrize("m", [counting_abstract_mdp(8, 4), random_mdp(1000, 4, 3, np.random.default_rng(0))])
+def test_save_mdp_json_writes_what_json_dump_writes(tmp_path, m):
+    # the writer encodes in one json.dumps call; json.dump to the file must give the same bytes
+    payload = {"num_observations": m.num_observations, "num_actions": m.num_actions,
+               "transition": m.transition.reshape(-1).tolist(), "aux": m.aux.tolist(),
+               "reward": m.reward.tolist(), "initial_dist": m.initial_dist.tolist()}
+    expected = io.StringIO()
+    json.dump(payload, expected)
+    path = tmp_path / "mdp.json"
+    save_mdp_json(m, str(path))
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_load_rejects_invalid(tmp_path):
