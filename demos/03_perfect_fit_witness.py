@@ -38,7 +38,7 @@ assert report.dyn_loss == 0.0 and report.aux_loss == 0.0
 
 # the verifier confirms all distinguishable pairs are separated
 vectors = encode(params, one_hot_observations(mdp))
-embs = EmbeddingSet(vectors=vectors, labels=np.arange(n), source_ids=np.arange(n))
+embs = EmbeddingSet(vectors=vectors, labels=np.arange(n))
 collapse = verify_no_collapse(embs, bisim.partition_refine(mdp), eps_collapse=1e-9)
 print(f"verdict: {collapse.verdict} "
       f"({collapse.pairs_checked} pairs, {len(collapse.violations)} violations, "

@@ -19,8 +19,7 @@ from bisimlab.counting_env import CountingEnvConfig, collect_dataset
 from bisimlab.dataset import ppm_bytes
 
 config = CountingEnvConfig(max_count=8, target_n=4, image_size=32, channels=3, seed=0)
-collected = collect_dataset(config, steps=2000, action_repeat=4,
-                            rng=np.random.default_rng(0))
+collected = collect_dataset(config, steps=2000, action_repeat=4)
 ds = collected.dataset
 
 print(f"{len(ds)} transitions, frames {collected.source_frames.shape}")

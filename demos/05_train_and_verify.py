@@ -40,7 +40,7 @@ acc = nearest_centroid_accuracy(vectors, labels)
 print(f"nearest-centroid accuracy: {acc:.2f}")
 
 eps = 1e-3 * median_pairwise_distance(vectors)
-embs = EmbeddingSet(vectors=vectors, labels=labels, source_ids=labels)
+embs = EmbeddingSet(vectors=vectors, labels=labels)
 report = verify_no_collapse(embs, bisim.partition_refine(mdp), eps)
 print(f"no-collapse verdict at eps {eps:.2e}: {report.verdict} "
       f"(min distance between distinguishable pairs {report.min_cross_class_distance:.3f})")

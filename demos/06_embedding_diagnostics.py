@@ -40,7 +40,7 @@ result = train(config, tabular_train_data(mdp))
 
 vectors = encode(result.best_params, one_hot_observations(mdp))
 labels = np.arange(mdp.num_observations)
-embs = EmbeddingSet(vectors=vectors, labels=labels, source_ids=labels)
+embs = EmbeddingSet(vectors=vectors, labels=labels)
 
 proj, fractions, _ = pca_2d(embs)
 print(f"top-2 explained variance: {fractions[0]:.2f} + {fractions[1]:.2f}")

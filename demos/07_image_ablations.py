@@ -18,8 +18,7 @@ from bisimlab.nn import encode
 from bisimlab.train import TrainConfig, collected_train_data, train
 
 env = CountingEnvConfig(max_count=8, target_n=4, image_size=16, channels=1, seed=0)
-collected = collect_dataset(env, steps=6000, action_repeat=4,
-                            rng=np.random.default_rng(0))
+collected = collect_dataset(env, steps=6000, action_repeat=4)
 data = collected_train_data(collected)
 
 variants = {

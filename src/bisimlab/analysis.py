@@ -21,16 +21,13 @@ from bisimlab import relation  # for an annotation: reached through its lazy mod
 @dataclass
 class EmbeddingSet:
     vectors: np.ndarray  # [N, latent_dim]
-    labels: np.ndarray  # int [N], ground-truth class
-    source_ids: np.ndarray | None = None  # observation ids when drawn from a tabular MDP
+    labels: np.ndarray  # int [N], the MDP observation each vector embeds, which is its class
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("non-finite embedding")
-        if self.source_ids is not None:
-            self.source_ids = np.asarray(self.source_ids, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -38,7 +35,7 @@ class EmbeddingSet:
 
 @dataclass
 class DistanceMatrix:
-    matrix: np.ndarray  # [N, N], rows sorted by (label, source_id)
+    matrix: np.ndarray  # [N, N], rows sorted by label, ties in input order
     labels: np.ndarray  # [N] sorted labels
     order: np.ndarray  # original indices in sorted order
 
@@ -64,11 +61,10 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_distances(embs: EmbeddingSet) -> DistanceMatrix:
-    """Exact l2 distance matrix with rows ordered by (label, source id)."""
+    """Exact l2 distance matrix with rows ordered by label, ties in input order."""
     if len(embs) < 1:
         raise ValueError("need at least one embedding")
-    sid = embs.source_ids if embs.source_ids is not None else np.arange(len(embs))
-    order = np.lexsort((sid, embs.labels))
+    order = np.argsort(embs.labels, kind="stable")
     v = embs.vectors[order]
     return DistanceMatrix(matrix=distances(v, v), labels=embs.labels[order], order=order)
 
@@ -165,16 +161,14 @@ class CollapseReport:
 def verify_no_collapse(embs: EmbeddingSet, part: relation.Partition, eps_collapse: float | None) -> CollapseReport:
     """Check the executable form of the no-collapse guarantee.
 
-    `part` is the largest bisimulation over the observations. Every embedded
-    pair whose observations lie in different blocks (distinguishable, hence
-    outside the bisimulation) must sit at l2 distance >= eps_collapse; None
-    sets it to 1e-3 of the median pairwise distance, from the same distance
-    matrix. Pairs (i, j), i < j, are taken in row-major order, and so are the
-    violations.
+    `part` is the largest bisimulation over the observations `embs.labels`.
+    Every embedded pair whose observations lie in different blocks
+    (distinguishable, hence outside the bisimulation) must sit at l2 distance
+    >= eps_collapse, and never at distance 0; None sets eps_collapse to 1e-3
+    of the median pairwise distance, from the same distance matrix. Pairs
+    (i, j), i < j, are taken in row-major order, and so are the violations.
     """
-    if embs.source_ids is None:
-        raise ValueError("verify_no_collapse requires source_ids")
-    ids = embs.source_ids
+    ids = embs.labels
     block = part.block_of[ids]
     d = distances(embs.vectors, embs.vectors)
     if eps_collapse is None:
@@ -182,7 +176,7 @@ def verify_no_collapse(embs: EmbeddingSet, part: relation.Partition, eps_collaps
     upper = np.triu(np.ones(d.shape, dtype=bool), 1)
     cross = upper & (block[:, None] != block[None, :])
     within = upper & ~cross
-    i, j = np.nonzero(cross & (d < eps_collapse))
+    i, j = np.nonzero(cross & ((d < eps_collapse) | (d == 0)))
     pairs_checked = int(np.count_nonzero(cross))
     return CollapseReport(
         pairs_checked=pairs_checked,

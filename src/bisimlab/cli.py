@@ -149,23 +149,11 @@ def cmd_empirical_bisim(args) -> int:
     return EXIT_OK
 
 
-def _env_config(args) -> counting_env.CountingEnvConfig:
-    return counting_env.CountingEnvConfig(
-        max_count=args.max_count,
-        target_n=args.target_n,
-        image_size=args.image_size,
-        channels=args.channels,
-        seed=args.seed,
-    )
-
-
 def cmd_collect(args) -> int:
-    import numpy as np
-
     try:
-        config = _env_config(args)
-        collected = counting_env.collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat,
-                                                 rng=np.random.default_rng(args.seed))
+        config = counting_env.CountingEnvConfig(max_count=args.max_count, target_n=args.target_n,
+                                                image_size=args.image_size, channels=args.channels, seed=args.seed)
+        collected = counting_env.collect_dataset(config, steps=args.steps, action_repeat=args.action_repeat)
     except ValueError as exc:
         return _input_error(exc)
     from dataclasses import asdict
@@ -211,7 +199,7 @@ def cmd_train(args) -> int:
             collected = _load_collected(args.dataset, counting_env.CountingEnvConfig.channels)
             data = training.collected_train_data(collected)
         else:
-            data = presets.preset_data(args.preset, args.seed, collect_steps=args.collect_steps).train_data
+            data = presets.preset_data(args.preset, args.seed, collect_steps=args.collect_steps)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     try:
@@ -242,7 +230,6 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
         n = params.config.obs_shape[0]
         obs = np.eye(n)
         labels = np.arange(n)
-        source_ids = np.arange(n)
     elif args.dataset is None:
         raise ValueError("image checkpoints need --dataset")
     else:
@@ -252,9 +239,7 @@ def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
                          replace=False)
         obs = collected.source_frames[idx].astype(np.float64) / 255.0
         labels = collected.dataset.sources[idx]
-        source_ids = labels
-    vectors = nn.encode(params, obs)
-    return analysis.EmbeddingSet(vectors=vectors, labels=labels, source_ids=source_ids)
+    return analysis.EmbeddingSet(vectors=nn.encode(params, obs), labels=labels)
 
 
 def cmd_analyze(args) -> int:
@@ -290,8 +275,8 @@ def _check_fits_mdp(params, embs: analysis.EmbeddingSet, num_observations: int) 
     if params.config.obs_kind == "onehot" and params.config.obs_shape[0] != num_observations:
         raise ValueError(f"checkpoint encodes {params.config.obs_shape[0]} one-hot observations, "
                          f"the MDP has {num_observations}")
-    if len(embs) and embs.source_ids.max() >= num_observations:
-        raise ValueError(f"observation id {embs.source_ids.max()} is out of range "
+    if len(embs) and embs.labels.max() >= num_observations:
+        raise ValueError(f"observation id {embs.labels.max()} is out of range "
                          f"for an MDP with {num_observations} observations")
 
 

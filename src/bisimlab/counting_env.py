@@ -195,13 +195,13 @@ def binarize_action(action: float) -> int:
     """Continuous action -> discrete {inc, dec} by sign; zero ties to inc."""
     return ACTION_DEC if action < 0 else ACTION_INC
 
-def collect_dataset(
-    config: CountingEnvConfig,
-    steps: int,
-    action_repeat: int = 4,
-    rng: np.random.Generator | None = None,
-) -> CollectedData:
-    """Roll a uniform-random policy for `steps` transitions.
+
+def _frame(obs: Observation) -> np.ndarray:
+    return np.round(obs.pixels * 255).astype(np.uint8)
+
+
+def collect_dataset(config: CountingEnvConfig, steps: int, action_repeat: int = 4) -> CollectedData:
+    """Roll a uniform-random policy for `steps` transitions, drawing from default_rng(config.seed).
 
     Actions are drawn uniformly from [-1, 1] and held for `action_repeat`
     consecutive steps. Records live at the count level (source count, sign,
@@ -212,30 +212,31 @@ def collect_dataset(
         raise ValueError("steps must be > 0")
     if action_repeat < 1:
         raise ValueError("action_repeat must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     sources, actions, successors, aux = [], [], [], []
     src_frames, succ_frames = [], []
     obs, state = env_reset(config, rng)
+    frame = _frame(obs)
     action = float(rng.uniform(-1.0, 1.0))
     since_resample = 0
     for _ in range(steps):
         if since_resample >= action_repeat:
             action = float(rng.uniform(-1.0, 1.0))
             since_resample = 0
-        prev_obs = obs
         prev_count = state.count
+        src_frames.append(frame)
         obs, _, done = env_step(state, action)
+        frame = _frame(obs)  # the successor's frame, and the next record's source unless the episode ends
+        succ_frames.append(frame)
         since_resample += 1
         sources.append(prev_count)
         actions.append(binarize_action(action))
         successors.append(state.count)
         aux.append(1.0 if prev_count == config.target_n else 0.0)
-        src_frames.append(np.round(prev_obs.pixels * 255).astype(np.uint8))
-        succ_frames.append(np.round(obs.pixels * 255).astype(np.uint8))
         if done:
             # the action-repeat schedule is step-based and survives resets
             obs, state = env_reset(config, rng)
+            frame = _frame(obs)
     dataset = TransitionDataset(
         num_observations=config.max_count + 1,
         num_actions=2,

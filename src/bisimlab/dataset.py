@@ -235,7 +235,7 @@ def save_frame_sidecar(frames: list[bytes], path: str) -> None:
 def parse_ppm(blob: bytes, channels: int) -> np.ndarray:
     """Decode a binary P6 PPM into a [channels, H, W] uint8 array (channels 1 or 3);
     ValueError unless it is what ppm_bytes writes: maxval 255, H and W at least 1,
-    and H * W * 3 pixel bytes."""
+    H * W * 3 pixel bytes, and, for channels 1, three equal planes."""
     parts = blob.split(b"\n", 3)
     if len(parts) != 4:
         raise ValueError("truncated PPM header")
@@ -245,10 +245,12 @@ def parse_ppm(blob: bytes, channels: int) -> np.ndarray:
         raise ValueError(f"not an 8-bit P6 PPM of positive size: {b' '.join(parts[:3])!r}")
     if len(pixels) != h * w * 3:
         raise ValueError(f"{w}x{h} PPM with {len(pixels)} pixel bytes, not {h * w * 3}")
-    frame = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
     if channels == 1:
-        return frame[:1].copy()  # gray frames are stored with equal channels
-    return frame.copy()
+        red = pixels[0::3]
+        if red != pixels[1::3] or red != pixels[2::3]:
+            raise ValueError("a color PPM where a gray one is expected: its three planes differ")
+        return np.frombuffer(red, dtype=np.uint8).reshape(1, h, w).copy()
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1).copy()
 
 
 def load_frame_sidecar(path: str) -> list[bytes]:

@@ -40,6 +40,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.obs_kind not in ("onehot", "image"):
             raise ValueError(f"unknown obs_kind {self.obs_kind!r}")
+        for f in fields(self)[1:]:  # after obs_kind, every field is a size or a tuple of sizes
+            value = getattr(self, f.name)
+            if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
+                raise ValueError(f"{f.name} {value!r} holds a size below 1")
 
     @property
     def obs_dim(self) -> int:
@@ -364,19 +368,18 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(params: ModelParams, config_echo: dict, path: str) -> None:
     blob = json.dumps(config_echo, sort_keys=True).encode()
-    named = params.named_parameters()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(named)))
-        for name, p in named:
+        fh.write(struct.pack("<I", len(params)))
+        for name, array in params.items():
             name_b = name.encode()
             fh.write(struct.pack("<H", len(name_b)))
             fh.write(name_b)
-            fh.write(struct.pack("<B", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            fh.write(p.data.astype("<f4").tobytes())
+            fh.write(struct.pack("<B", array.ndim))
+            fh.write(struct.pack(f"<{array.ndim}I", *array.shape))
+            fh.write(array.astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
@@ -417,9 +420,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         if set(mc) != names:
             raise KeyError(f"model_config keys {sorted(mc)}, expected {sorted(names)}")
         model_config = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in mc.items()})
-        return ModelParams.from_arrays(model_config, tensors), config_echo
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model config: {exc!r}") from exc
+    try:
+        return ModelParams.from_arrays(model_config, tensors), config_echo
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -6,9 +6,8 @@ lighter weights let the dynamics loss collapse the encoder before the reward
 signal anchors it. The reward_only preset drops the base learning rate to
 1e-5, which is what keeps that configuration from diverging.
 
-The CLI reads PRESET_NAMES to build its parser, so at its top this module
-imports only the package's lazily registered modules, and numpy only where
-it draws data.
+The CLI reads PRESET_NAMES to build its parser, so this module imports only
+the package's lazily registered modules, and never numpy itself.
 """
 
 from __future__ import annotations
@@ -35,24 +34,11 @@ def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConf
     return training.TrainConfig(**{**PRESETS[name], "seed": seed, **overrides})
 
 
-class PresetData:
-    """What a preset trains on, the abstract MDP, and the image rollouts (None for tabular_counting).
-    A plain class: a dataclass would import dataclasses into the CLI's front end."""
-
-    def __init__(self, train_data: training.TrainData, mdp: mdp.DeterministicMDP,
-                 collected: counting_env.CollectedData | None = None) -> None:
-        self.train_data, self.mdp, self.collected = train_data, mdp, collected
-
-
-def preset_data(name: str, seed: int, collect_steps: int | None = None) -> PresetData:
+def preset_data(name: str, seed: int, collect_steps: int | None = None) -> training.TrainData:
     """Materialize the data a preset trains on (tabular tables or rollouts)."""
-    import numpy as np
-
-    abstract = mdp.counting_abstract_mdp(8, 4)
     if name == "tabular_counting":
-        return PresetData(train_data=training.tabular_train_data(abstract), mdp=abstract)
+        return training.tabular_train_data(mdp.counting_abstract_mdp(8, 4))
     env = counting_env.CountingEnvConfig(seed=seed)  # the image presets collect at its defaults
     steps = collect_steps if collect_steps is not None else IMAGE_COLLECT_STEPS
-    collected = counting_env.collect_dataset(env, steps=steps, action_repeat=IMAGE_ACTION_REPEAT,
-                                             rng=np.random.default_rng(seed))
-    return PresetData(train_data=training.collected_train_data(collected), mdp=abstract, collected=collected)
+    collected = counting_env.collect_dataset(env, steps=steps, action_repeat=IMAGE_ACTION_REPEAT)
+    return training.collected_train_data(collected)

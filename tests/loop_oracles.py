@@ -79,12 +79,12 @@ def verify_no_collapse(embs: EmbeddingSet, r_star: PairRelation, eps_collapse: f
     max_within = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            oi, oj = int(embs.source_ids[i]), int(embs.source_ids[j])
+            oi, oj = int(embs.labels[i]), int(embs.labels[j])
             dist = float(np.linalg.norm(embs.vectors[i] - embs.vectors[j]))
             if r_star.bits[oi, oj]:
                 pairs_checked += 1
                 min_cross = min(min_cross, dist)
-                if dist < eps_collapse:
+                if dist < eps_collapse or dist == 0.0:
                     violations.append((oi, oj, dist))
             else:
                 max_within = max(max_within, dist)

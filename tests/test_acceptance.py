@@ -52,11 +52,11 @@ def image_runs():
     for name in ("dyn_only", "reward_aux", "reward_only", "random_aux"):
         data = preset_data(name, seed=0)
         config = preset_train_config(name, seed=0)
-        result = train(config, data.train_data)
+        result = train(config, data)
         rng = np.random.default_rng(0)
-        idx = rng.choice(len(data.train_data), size=256, replace=False)
-        obs = data.train_data.obs[idx]
-        labels = data.train_data.labels[idx]
+        idx = rng.choice(len(data), size=256, replace=False)
+        obs = data.obs[idx]
+        labels = data.labels[idx]
         vectors = encode(result.best_params, obs)
         results[name] = (vectors, labels)
     return results, time.time() - t0
@@ -209,8 +209,7 @@ def test_criterion_5_perfect_fit_theorem(counting, capsys):
     mdp, r_star = counting
     params = perfect_fit_params(mdp)
     vectors = encode(params, one_hot_observations(mdp))
-    embs = EmbeddingSet(vectors=vectors, labels=np.arange(mdp.num_observations),
-                        source_ids=np.arange(mdp.num_observations))
+    embs = EmbeddingSet(vectors=vectors, labels=np.arange(mdp.num_observations))
     report = verify_no_collapse(embs, bisim.quotient(r_star, mdp), eps_collapse=1e-9)
     elapsed = time.time() - t0
     ok = report.verdict == "pass" and len(report.violations) == 0 and elapsed < 1.0
@@ -226,7 +225,7 @@ def test_criterion_6_trained_no_collapse(counting, capsys):
     result = train(config, tabular_train_data(mdp))
     final = result.metrics[-1]
     vectors = encode(result.best_params, one_hot_observations(mdp))
-    embs = EmbeddingSet(vectors=vectors, labels=np.arange(9), source_ids=np.arange(9))
+    embs = EmbeddingSet(vectors=vectors, labels=np.arange(9))
     eps = 1e-3 * median_pairwise_distance(vectors)
     report = verify_no_collapse(embs, bisim.quotient(r_star, mdp), eps)
     acc = nearest_centroid_accuracy(vectors, np.arange(9))

@@ -26,17 +26,13 @@ def test_pairwise_distances_known_values():
     assert np.all(np.diag(dm.matrix) == 0.0)
 
 
-def test_pairwise_distances_sorted_by_label_then_id():
-    vecs = np.arange(8, dtype=np.float64).reshape(4, 2)
-    embs = EmbeddingSet(
-        vectors=vecs,
-        labels=np.array([1, 0, 1, 0]),
-        source_ids=np.array([5, 9, 2, 3]),
-    )
+def test_pairwise_distances_sorted_by_label_ties_in_input_order():
+    vecs = np.arange(10, dtype=np.float64).reshape(5, 2)
+    embs = EmbeddingSet(vectors=vecs, labels=np.array([1, 0, 1, 0, 0]))
     dm = pairwise_distances(embs)
-    assert dm.labels.tolist() == [0, 0, 1, 1]
-    # within each label block, rows follow ascending source id: 3, 9 then 2, 5
-    assert dm.order.tolist() == [3, 1, 2, 0]
+    assert dm.labels.tolist() == [0, 0, 0, 1, 1]
+    # within each label block, rows keep their input order: 1, 3, 4 then 0, 2
+    assert dm.order.tolist() == [1, 3, 4, 0, 2]
 
 
 def test_pairwise_triangle_inequality():
@@ -183,8 +179,7 @@ def test_verify_no_collapse_pass_and_fail():
     part = two_blocks()
     good = EmbeddingSet(
         vectors=np.array([[0.0], [0.1], [5.0], [5.1]]),
-        labels=np.array([0, 0, 1, 1]),
-        source_ids=np.arange(4),
+        labels=np.arange(4),
     )
     report = verify_no_collapse(good, part, eps_collapse=1.0)
     assert report.verdict == "pass"
@@ -194,8 +189,7 @@ def test_verify_no_collapse_pass_and_fail():
 
     bad = EmbeddingSet(
         vectors=np.array([[0.0], [0.1], [0.2], [5.1]]),
-        labels=np.array([0, 0, 1, 1]),
-        source_ids=np.arange(4),
+        labels=np.arange(4),
     )
     report = verify_no_collapse(bad, part, eps_collapse=1.0)
     assert report.verdict == "fail"
@@ -203,9 +197,7 @@ def test_verify_no_collapse_pass_and_fail():
 
 
 def test_verify_no_collapse_vacuous_on_empty_relation():
-    embs = EmbeddingSet(
-        vectors=np.zeros((3, 2)), labels=np.zeros(3, dtype=np.int64), source_ids=np.arange(3)
-    )
+    embs = EmbeddingSet(vectors=np.zeros((3, 2)), labels=np.arange(3))
     # one block: R* is empty
     report = verify_no_collapse(embs, Partition(block_of=np.zeros(3), num_blocks=1), eps_collapse=1.0)
     assert report.verdict == "pass"
@@ -217,8 +209,7 @@ def test_verify_no_collapse_eps_monotone():
     part = two_blocks()
     embs = EmbeddingSet(
         vectors=np.array([[0.0], [0.1], [2.0], [5.1]]),
-        labels=np.array([0, 0, 1, 1]),
-        source_ids=np.arange(4),
+        labels=np.arange(4),
     )
     small = verify_no_collapse(embs, part, eps_collapse=0.5)
     big = verify_no_collapse(embs, part, eps_collapse=3.0)
@@ -226,17 +217,18 @@ def test_verify_no_collapse_eps_monotone():
     assert small.verdict == "pass" and big.verdict == "fail"
 
 
-def test_verify_requires_source_ids():
-    embs = EmbeddingSet(vectors=np.zeros((2, 2)), labels=np.zeros(2, dtype=np.int64))
-    with pytest.raises(ValueError, match="source_ids"):
-        verify_no_collapse(embs, Partition(block_of=np.zeros(2), num_blocks=1), 1.0)
+def test_verify_coincident_latents_fail_under_auto_eps():
+    # every latent is the same point: the median distance, and so the auto eps, is 0
+    embs = EmbeddingSet(vectors=np.ones((4, 2)), labels=np.arange(4))
+    report = verify_no_collapse(embs, two_blocks(), eps_collapse=None)
+    assert report.eps_collapse == 0.0
+    assert report.verdict == "fail"
+    assert {(i, j) for i, j, _ in report.violations} == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
 
 def test_collapse_report_json():
     part = two_blocks()
-    embs = EmbeddingSet(
-        vectors=np.zeros((4, 1)), labels=np.array([0, 0, 1, 1]), source_ids=np.arange(4)
-    )
+    embs = EmbeddingSet(vectors=np.zeros((4, 1)), labels=np.arange(4))
     report = verify_no_collapse(embs, part, eps_collapse=1.0)
     import json
 

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bisimlab
-from bisimlab import cli
+from bisimlab import cli, nn
 from bisimlab.cli import main
 from bisimlab.dataset import TransitionDataset, load_dataset, load_frame_sidecar, save_dataset, save_frame_sidecar
 from bisimlab.mdp import counting_abstract_mdp, random_mdp, save_mdp_json
@@ -370,7 +371,8 @@ def tabular_checkpoint(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("damage", ["missing", "magic", "truncated", "trailing", "echo"])
+@pytest.mark.parametrize("damage", ["missing", "magic", "truncated", "trailing", "echo", "latent-dim-0",
+                                    "hidden-width-0"])
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_bad_checkpoint_exits_2(tmp_path, capsys, tabular_checkpoint, command, damage):
     raw = tabular_checkpoint.read_bytes()
@@ -384,13 +386,37 @@ def test_bad_checkpoint_exits_2(tmp_path, capsys, tabular_checkpoint, command, d
         bad.write_bytes(raw + b"\x00\x00")
     elif damage == "echo":
         bad.write_bytes(raw[:12] + b"X" + raw[13:])
+    elif damage in ("latent-dim-0", "hidden-width-0"):  # zero-size layers, with tensors of the shapes they imply
+        _, echo = nn.load_checkpoint(str(tabular_checkpoint))
+        sizes = echo["model_config"]
+        sizes.update({"latent-dim-0": {"latent_dim": 0}, "hidden-width-0": {"encoder_hidden": [0]}}[damage])
+        shapes = nn.param_shapes(SimpleNamespace(obs_dim=math.prod(sizes["obs_shape"]), **sizes))
+        nn.save_checkpoint({name: np.zeros(shape) for name, shape in shapes.items()}, echo, str(bad))
     argv = [command, "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")]
     if command == "verify":
         argv += ["--counting", "8", "4"]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+    if damage in ("latent-dim-0", "hidden-width-0"):
+        assert "bad model config" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_fails_a_checkpoint_that_maps_every_observation_to_one_point(tmp_path, capsys):
+    from bisimlab.fixtures import perfect_fit_params
+    from bisimlab.train import TrainConfig
+
+    params = perfect_fit_params(counting_abstract_mdp(8, 4))
+    params["encoder.0.W"][:] = 0.0
+    path = tmp_path / "collapsed.pjpa"
+    nn.save_checkpoint(params, nn.model_config_echo(params, TrainConfig(steps=1)), str(path))
+    code, stdout, _ = run(["verify", "--checkpoint", str(path), "--counting", "8", "4",
+                           "--out-dir", str(tmp_path / "out")], capsys)
+    report = json.loads(stdout)
+    assert code == 3
+    assert report["eps_collapse"] == 0.0 and report["min_cross_class_distance"] == 0.0
+    assert report["num_violations"] == report["pairs_checked"] == 36
 
 
 @pytest.mark.parametrize("counting", [("3", "1"), ("20", "1")])
@@ -478,7 +504,7 @@ def _image_checkpoint(tmp_path, capsys, dataset):
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated", "trailing", "no-frames", "few-frames",
-                                    "action-out-of-range", "ppm-maxval", "sidecar-leading-junk"])
+                                    "action-out-of-range", "ppm-maxval", "color-frames", "sidecar-leading-junk"])
 @pytest.mark.parametrize("command", ["train", "analyze", "verify"])
 def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command, damage):
     dataset = collected_dir / "dataset.bslb"
@@ -503,6 +529,11 @@ def test_bad_collected_dataset_exits_2(tmp_path, capsys, collected_dir, command,
         frames = load_frame_sidecar(str(sidecar))
         frames[0] = frames[0].replace(b"\n255\n", b"\n1\n", 1)
         save_frame_sidecar(frames, str(sidecar))
+    elif damage == "color-frames":  # the same records in color, which a gray decode would cut to their red plane
+        code, _, _ = run(["collect", "--steps", "20", "--image-size", "8", "--channels", "3",
+                          "--out-dir", str(tmp_path / "color")], capsys)
+        assert code == 0
+        sidecar.write_bytes((tmp_path / "color" / "frames.bsli").read_bytes())
     else:  # four bytes before the first frame, every offset moved past them
         raw = sidecar.read_bytes()
         count = int.from_bytes(raw[8:16], "little")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bisimlab import counting_env
 from bisimlab.counting_env import (
     PALETTE,
     SHAPES,
@@ -126,22 +127,23 @@ class _CountingRng:
         return self._rng.choice(*a, **kw)
 
 
-def test_collect_action_repeat_draw_count():
+def test_collect_action_repeat_draw_count(monkeypatch):
     rng = _CountingRng(0)
-    collect_dataset(small_config(), steps=8, action_repeat=4, rng=rng)
+    monkeypatch.setattr(counting_env.np.random, "default_rng", lambda seed: rng)
+    collect_dataset(small_config(), steps=8, action_repeat=4)
     assert rng.uniform_calls == 2
 
 
 def test_collect_seed_determinism():
-    a = collect_dataset(small_config(), steps=60, rng=np.random.default_rng(5))
-    b = collect_dataset(small_config(), steps=60, rng=np.random.default_rng(5))
+    a = collect_dataset(small_config(), steps=60)
+    b = collect_dataset(small_config(), steps=60)
     assert np.array_equal(a.dataset.sources, b.dataset.sources)
     assert np.array_equal(a.source_frames, b.source_frames)
     assert np.array_equal(a.successor_frames, b.successor_frames)
 
 
 def test_collect_satisfies_dataset_invariants():
-    data = collect_dataset(small_config(), steps=300, rng=np.random.default_rng(9))
+    data = collect_dataset(small_config(), steps=300)
     assert data.dataset.validate() == []
     # count-level determinism: successor is a pure function of (count, sign)
     inc = data.dataset.actions == ACTION_INC

@@ -98,9 +98,17 @@ def test_ppm_roundtrip_gray():
     assert np.array_equal(parse_ppm(ppm_bytes(frame), channels=1), frame)
 
 
+def test_ppm_color_frame_decoded_as_gray_raises():
+    frame = np.zeros((3, 4, 4), dtype=np.uint8)
+    frame[1, 2, 3] = 200  # one green pixel: the red plane alone would read blank
+    with pytest.raises(ValueError, match="three planes differ"):
+        parse_ppm(ppm_bytes(frame), channels=1)
+    assert np.array_equal(parse_ppm(ppm_bytes(frame), channels=3), frame)
+
+
 def test_sidecar_roundtrip(tmp_path):
     config = CountingEnvConfig(image_size=16, channels=3, seed=0)
-    data = collect_dataset(config, steps=10, rng=np.random.default_rng(0))
+    data = collect_dataset(config, steps=10)
     path = str(tmp_path / "frames.bsli")
     frames = data.ppm_frames()
     save_frame_sidecar(frames, path)
@@ -150,8 +158,7 @@ def test_bytes_after_the_last_sidecar_frame_fail_its_decoding(tmp_path):
 
 def _collected_files(tmp_path):
     """dataset.bslb and frames.bsli of a short real collect."""
-    collected = collect_dataset(CountingEnvConfig(image_size=8, channels=1, seed=0), steps=12,
-                                rng=np.random.default_rng(0))
+    collected = collect_dataset(CountingEnvConfig(image_size=8, channels=1, seed=0), steps=12)
     save_dataset(collected.dataset, str(tmp_path / "dataset.bslb"))
     save_frame_sidecar(collected.ppm_frames(), str(tmp_path / "frames.bsli"))
     return (tmp_path / "dataset.bslb").read_bytes(), (tmp_path / "frames.bsli").read_bytes()

@@ -167,7 +167,7 @@ def embeddings(draw, integer: bool):
     ids = draw(st.lists(st.integers(0, num_obs - 1), min_size=n, max_size=n))
     block_of = draw(st.lists(st.integers(0, num_obs - 1), min_size=num_obs, max_size=num_obs))
     part = Partition(block_of=np.array(block_of), num_blocks=max(block_of) + 1)
-    embs = EmbeddingSet(vectors=vectors, labels=np.zeros(n, dtype=np.int64), source_ids=np.array(ids, dtype=np.int64))
+    embs = EmbeddingSet(vectors=vectors, labels=np.array(ids, dtype=np.int64))
     return embs, part
 
 

@@ -70,7 +70,7 @@ def train_data(pkg: dict, preset: str):
     tables, or the records of a collect read back from its dataset.bslb and
     frames.bsli as `train --dataset` reads them."""
     if preset == "tabular_counting":
-        return pkg["presets"].preset_data(preset, SEED).train_data
+        return pkg["presets"].preset_data(preset, SEED)
     cli = pkg["cli"]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["collect", "--steps", str(COLLECT_STEPS), "--seed", str(SEED), "--out-dir", tmp])
