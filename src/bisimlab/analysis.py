@@ -134,7 +134,7 @@ def collapse_ratio(vectors: np.ndarray, labels: np.ndarray) -> float:
 class CollapseReport:
     pairs_checked: int
     violations: list[tuple[int, int, float]]
-    min_cross_class_distance: float
+    min_cross_class_distance: float  # NaN when no pair is checked, written to JSON as null
     max_within_class_distance: float
     eps_collapse: float
 
@@ -149,7 +149,7 @@ class CollapseReport:
                 "pairs_checked": self.pairs_checked,
                 "num_violations": len(self.violations),
                 "violations": [[i, j, d] for i, j, d in worst],
-                "min_cross_class_distance": self.min_cross_class_distance,
+                "min_cross_class_distance": self.min_cross_class_distance if self.pairs_checked else None,
                 "max_within_class_distance": self.max_within_class_distance,
                 "eps_collapse": self.eps_collapse,
                 "verdict": self.verdict,

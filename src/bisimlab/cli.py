@@ -192,14 +192,12 @@ def cmd_train(args) -> int:
              "dyn_loss_enabled": False if args.no_dyn_loss else None}
     overrides = {**args.config_extras, **{k: v for k, v in flags.items() if v is not None}}
     try:
-        if args.collect_steps is not None and args.collect_steps < 1:
-            raise ValueError(f"--collect-steps must be >= 1, not {args.collect_steps}")
         config = presets.preset_train_config(args.preset, args.seed, **overrides)
         if args.dataset is not None:  # frames decoded with the channels the presets collect
             collected = _load_collected(args.dataset, counting_env.CountingEnvConfig.channels)
             data = training.collected_train_data(collected)
         else:
-            data = presets.preset_data(args.preset, args.seed, collect_steps=args.collect_steps)
+            data = presets.preset_data(args.preset, args.seed)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     try:
@@ -320,12 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def add_common(p, *, seeded: bool):
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default="out")
 
     p = sub.add_parser("bisim", help="exact largest bisimulation of a tabular MDP")
-    add_common(p)
+    add_common(p, seeded=False)
     p.add_argument("--mdp", help="MDP JSON file")
     p.add_argument("--counting", nargs=2, type=int, metavar=("MAX_COUNT", "TARGET_N"))
     p.add_argument("--engine", choices=("naive", "refine"), default="refine")
@@ -333,15 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("empirical-bisim", help="empirical largest bisimulation of a dataset")
-    add_common(p)
+    add_common(p, seeded=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--aux-tol", type=float, default=0.0)
     p.set_defaults(func=cmd_empirical_bisim)
 
     p = sub.add_parser("collect", help="roll a random policy in the counting environment")
-    add_common(p)
-    p.add_argument("--steps", type=int, default=6000)
-    p.add_argument("--action-repeat", type=int, default=4)
+    add_common(p, seeded=True)
+    p.add_argument("--steps", type=int, default=presets.IMAGE_COLLECT_STEPS)
+    p.add_argument("--action-repeat", type=int, default=presets.IMAGE_ACTION_REPEAT)
     p.add_argument("--max-count", type=int, default=8)
     p.add_argument("--target-n", type=int, default=4)
     p.add_argument("--image-size", type=int, default=32)
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="train a preset")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--preset", choices=presets.PRESET_NAMES, default="tabular_counting")
     p.add_argument("--steps", type=int)
     p.add_argument("--c-p", type=float)
@@ -357,18 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", help="reward | random:<dim> | none")
     p.add_argument("--no-dyn-loss", action="store_true")
     p.add_argument("--dataset", help="pre-collected dataset.bslb (frames.bsli beside it)")
-    p.add_argument("--collect-steps", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="embedding diagnostics for a checkpoint")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset")
     p.add_argument("--sample-size", type=int, default=256)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="no-collapse check against a computed bisimulation")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mdp")
     p.add_argument("--counting", nargs=2, type=int, metavar=("MAX_COUNT", "TARGET_N"))
@@ -383,9 +381,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
                        args: argparse.Namespace) -> argparse.Namespace:
     """Parse again with the --config file's keys as the chosen subcommand's
     defaults, so flags given on the command line win. Keys that name no flag
-    of that subcommand are checked against TrainConfig (read only then, so a
-    file of flags alone runs no training module), and the TrainConfig fields
-    among them are kept in `config_extras` for train, lists as tuples.
+    of train, when train is chosen, or of any subcommand, when another is,
+    are checked against TrainConfig (read only then, so a file of flags alone
+    runs no training module), and the TrainConfig fields among them are kept
+    in `config_extras` for train, lists as tuples.
     ValueError on a key that is neither a flag of any subcommand nor a
     TrainConfig field, and on a value of the wrong JSON type for its flag or
     TrainConfig field."""
@@ -398,9 +397,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
     values = {key.replace("-", "_"): value for key, value in values.items()}
     (subparsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {a.dest for a in sub._actions if a.dest != "help"} for name, sub in subparsers.items()}
-    own = flags[args.command]
-    fields = typing.get_type_hints(training.TrainConfig) if set(values) - own else {}
-    unknown = sorted(set(values) - set().union(*flags.values(), fields))
+    own, any_flag = flags[args.command], set().union(*flags.values())
+    outside = set(values) - (own if args.command == "train" else any_flag)
+    fields = typing.get_type_hints(training.TrainConfig) if outside else {}
+    unknown = sorted(set(values) - any_flag - set(fields))
     if unknown:
         raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
     for action in subparsers[args.command]._actions:

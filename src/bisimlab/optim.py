@@ -16,6 +16,8 @@ import numpy as np
 from bisimlab.nn import ModelParams
 
 BLOCK = 1 << 15  # elements per pass of the update
+ENCODER_LR_SCALE = 0.3  # the encoder's rate, as a fraction of the base rate
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -28,16 +30,7 @@ class AdamState:
     scratch: np.ndarray | None = field(default=None, repr=False)
 
 
-def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: AdamState,
-    base_lr: float = 3e-4,
-    encoder_lr_scale: float = 0.3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, base_lr: float) -> None:
     """One bias-corrected Adam update in place; encoder group uses the scaled rate."""
     if state.m_flat is None:
         state.m_flat, state.v_flat = np.zeros_like(params.flat), np.zeros_like(params.flat)
@@ -45,17 +38,17 @@ def adam_step(
     state.t += 1
     t = state.t
     p, g, m, v = params.flat, grads.flat, state.m_flat, state.v_flat
-    c1, c2 = 1.0 - beta1, 1.0 - beta2
-    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
-    enc_lr, n_enc = base_lr * encoder_lr_scale, params.segment("encoder").stop
+    c1, c2 = 1.0 - BETA1, 1.0 - BETA2
+    bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+    enc_lr, n_enc = base_lr * ENCODER_LR_SCALE, params.segment("encoder").stop
     for s in range(0, p.size, BLOCK):
         e = min(s + BLOCK, p.size)
         gb, mb, vb = g[s:e], m[s:e], v[s:e]
         step, denom = state.scratch[0, : e - s], state.scratch[1, : e - s]
-        mb *= beta1
+        mb *= BETA1
         np.multiply(gb, c1, out=step)
         mb += step
-        vb *= beta2
+        vb *= BETA2
         np.multiply(gb, c2, out=step)
         step *= gb
         vb += step
@@ -65,6 +58,6 @@ def adam_step(
         step[split:] *= base_lr
         np.divide(vb, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += EPS
         step /= denom
         p[s:e] -= step

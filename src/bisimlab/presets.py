@@ -6,8 +6,9 @@ lighter weights let the dynamics loss collapse the encoder before the reward
 signal anchors it. The reward_only preset drops the base learning rate to
 1e-5, which is what keeps that configuration from diverging.
 
-The CLI reads PRESET_NAMES to build its parser, so this module imports only
-the package's lazily registered modules, and never numpy itself.
+The CLI reads PRESET_NAMES and collect's defaults (IMAGE_COLLECT_STEPS,
+IMAGE_ACTION_REPEAT) to build its parser, so this module imports only the
+package's lazily registered modules, and never numpy itself.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConf
     return training.TrainConfig(**{**PRESETS[name], "seed": seed, **overrides})
 
 
-def preset_data(name: str, seed: int, collect_steps: int | None = None) -> training.TrainData:
+def preset_data(name: str, seed: int) -> training.TrainData:
     """Materialize the data a preset trains on (tabular tables or rollouts)."""
     if name == "tabular_counting":
         return training.tabular_train_data(mdp.counting_abstract_mdp(8, 4))
     env = counting_env.CountingEnvConfig(seed=seed)  # the image presets collect at its defaults
-    steps = collect_steps if collect_steps is not None else IMAGE_COLLECT_STEPS
-    collected = counting_env.collect_dataset(env, steps=steps, action_repeat=IMAGE_ACTION_REPEAT)
+    collected = counting_env.collect_dataset(env, steps=IMAGE_COLLECT_STEPS, action_repeat=IMAGE_ACTION_REPEAT)
     return training.collected_train_data(collected)

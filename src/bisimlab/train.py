@@ -79,8 +79,9 @@ class TrainConfig:
 class TrainData:
     """Replay contents: aligned observation/transition arrays.
 
-    `labels` is the ground-truth class per record (state id or object count),
-    used only for compactness evaluation, never by the model.
+    `labels` is the ground-truth class per record (state id or object count).
+    No loss reads them, but the evaluation scores against them, and its best
+    score chooses the parameters `train` returns as `best_params`.
     """
 
     obs: np.ndarray  # [m, ...obs_shape] float in [0, 1] (images) or one-hot
@@ -163,8 +164,11 @@ class TrainResult:
 def train(config: TrainConfig, data: TrainData) -> TrainResult:
     """Run `config.steps` Adam steps over minibatches drawn uniformly from every record of `data`.
 
-    Checkpoints the parameters with the best nearest-centroid accuracy on a
-    fixed held-out evaluation batch, evaluated every `eval_every` steps.
+    Every `eval_every` steps and at the last, scores the nearest-centroid
+    accuracy of a fixed evaluation sample of min(EVAL_SIZE, len(data))
+    records, drawn with replacement from the records the minibatches draw (it
+    is not held out). `best_params` are the parameters of the first evaluation
+    that reached the best accuracy; `params` are the last step's.
     """
     # glibc's malloc maps each block above its mmap threshold afresh and returns a free heap top above its
     # trim threshold to the system. Both start at 128 KiB and rise only when a mapped block is freed, so

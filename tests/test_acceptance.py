@@ -223,8 +223,8 @@ def test_criterion_6_trained_no_collapse(counting, capsys):
     config = preset_train_config("tabular_counting", seed=0)
     assert config.c_p == 1.0 and config.latent_dim == 32 and config.steps <= 50_000
     result = train(config, tabular_train_data(mdp))
-    final = result.metrics[-1]
-    vectors = encode(result.best_params, one_hot_observations(mdp))
+    final = result.metrics[-1]  # the premise is the last step's losses, so the conclusion reads the last parameters
+    vectors = encode(result.params, one_hot_observations(mdp))
     embs = EmbeddingSet(vectors=vectors, labels=np.arange(9))
     eps = 1e-3 * median_pairwise_distance(vectors)
     report = verify_no_collapse(embs, bisim.quotient(r_star, mdp), eps)

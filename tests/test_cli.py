@@ -298,7 +298,6 @@ FLAG_CHECKS_BEFORE_INPUT = [
     ["verify", "--checkpoint", "x.pjpa", "--counting", "8", "4", "--eps-collapse", "-1"],
     ["verify", "--checkpoint", "x.pjpa", "--counting", "8", "4", "--sample-size", "0"],
     ["analyze", "--checkpoint", "x.pjpa", "--sample-size", "0"],
-    ["train", "--collect-steps", "0"],
 ]
 
 
@@ -325,6 +324,41 @@ def test_flag_checked_before_any_input_exits_2_naming_it(tmp_path, capsys, argv)
     assert code == 2
     assert err.startswith(f"error: {flag} must be"), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["bisim", "--counting", "8", "4", "--seed", "1"],
+                                  ["empirical-bisim", "--dataset", "x.bslb", "--seed", "1"],
+                                  ["train", "--collect-steps", "600"]])
+def test_flag_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv):
+    # bisim and empirical-bisim draw nothing at random; collect --steps then train --dataset sets the pixels
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bisimlab") and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_seed_is_left_to_the_commands_that_read_it(tmp_path):
+    # a key of another subcommand's flag is neither an error nor a reason to run the training modules
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    code, ran = python_with_src(MODULES_RUN_PROBE, "--config", str(cfg), "bisim", "--counting", "8", "4",
+                                "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert set(ran) == FRONT_END | {"bisim", "mdp", "relation"}
+
+
+def test_collect_defaults_are_the_image_presets_collection(tmp_path, capsys, monkeypatch):
+    # the parser reads the presets' values, so collect then train --dataset trains on the presets' pixels
+    monkeypatch.setattr(bisimlab.presets, "IMAGE_COLLECT_STEPS", 30)
+    monkeypatch.setattr(bisimlab.presets, "IMAGE_ACTION_REPEAT", 2)
+    out = tmp_path / "data"
+    code, stdout, _ = run(["collect", "--image-size", "8", "--out-dir", str(out)], capsys)
+    assert code == 0
+    assert json.loads(stdout)["records"] == 30
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["steps"], config["action_repeat"]) == (30, 2)
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--sample-size", "0"],
@@ -564,6 +598,24 @@ def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_with_no_pair_to_check_writes_json(tmp_path, capsys, collected_dir):
+    # one sampled frame leaves no cross-block pair, so there is no minimum distance: null, not NaN
+    dataset = collected_dir / "dataset.bslb"
+    ckpt = _image_checkpoint(tmp_path, capsys, dataset)
+    out = tmp_path / "out"
+    code, stdout, _ = run(["verify", "--checkpoint", str(ckpt), "--counting", "8", "4", "--dataset", str(dataset),
+                           "--sample-size", "1", "--eps-collapse", "0.1", "--out-dir", str(out)], capsys)
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for text in (stdout, (out / "collapse_report.json").read_text()):
+        report = json.loads(text, parse_constant=reject)
+        assert report["pairs_checked"] == 0 and report["verdict"] == "pass"
+        assert report["min_cross_class_distance"] is None
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_image_checkpoint_without_dataset_exits_2(tmp_path, capsys, collected_dir, command):
     ckpt = _image_checkpoint(tmp_path, capsys, collected_dir / "dataset.bslb")
@@ -600,7 +652,7 @@ def test_explicit_flag_equal_to_its_default_beats_the_config_file(tmp_path, caps
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
-    # Adam's constants live in optim.adam_step, the evaluation sample is train.EVAL_SIZE, and
+    # Adam's constants are optim's module constants, the evaluation sample is train.EVAL_SIZE, and
     # train uses every record, so none of them is a TrainConfig field
     for key, value in (("stpes", 20), ("encoder_lr_scale", -0.3), ("adam_eps", 0.0), ("adam_beta1", 1.0),
                        ("adam_beta2", -0.1), ("eval_size", 16), ("replay_capacity", 10_000)):
