@@ -318,13 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, seeded: bool):
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default="out")
 
     p = sub.add_parser("bisim", help="exact largest bisimulation of a tabular MDP")
-    add_common(p, seeded=False)
+    p.add_argument("--out-dir", default="out")
     p.add_argument("--mdp", help="MDP JSON file")
     p.add_argument("--counting", nargs=2, type=int, metavar=("MAX_COUNT", "TARGET_N"))
     p.add_argument("--engine", choices=("naive", "refine"), default="refine")
@@ -332,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("empirical-bisim", help="empirical largest bisimulation of a dataset")
-    add_common(p, seeded=False)
+    p.add_argument("--out-dir", default="out")
     p.add_argument("--dataset", required=True)
     p.add_argument("--aux-tol", type=float, default=0.0)
     p.set_defaults(func=cmd_empirical_bisim)
 
     p = sub.add_parser("collect", help="roll a random policy in the counting environment")
-    add_common(p, seeded=True)
+    add_common(p)
     p.add_argument("--steps", type=int, default=presets.IMAGE_COLLECT_STEPS)
     p.add_argument("--action-repeat", type=int, default=presets.IMAGE_ACTION_REPEAT)
     p.add_argument("--max-count", type=int, default=8)
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="train a preset")
-    add_common(p, seeded=True)
+    add_common(p)
     p.add_argument("--preset", choices=presets.PRESET_NAMES, default="tabular_counting")
     p.add_argument("--steps", type=int)
     p.add_argument("--c-p", type=float)
@@ -359,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="embedding diagnostics for a checkpoint")
-    add_common(p, seeded=True)
+    add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset")
     p.add_argument("--sample-size", type=int, default=256)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="no-collapse check against a computed bisimulation")
-    add_common(p, seeded=True)
+    add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mdp")
     p.add_argument("--counting", nargs=2, type=int, metavar=("MAX_COUNT", "TARGET_N"))
@@ -381,10 +380,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
                        args: argparse.Namespace) -> argparse.Namespace:
     """Parse again with the --config file's keys as the chosen subcommand's
     defaults, so flags given on the command line win. Keys that name no flag
-    of train, when train is chosen, or of any subcommand, when another is,
-    are checked against TrainConfig (read only then, so a file of flags alone
-    runs no training module), and the TrainConfig fields among them are kept
-    in `config_extras` for train, lists as tuples.
+    of any subcommand are checked against TrainConfig (read only then, so a
+    file of flags alone runs no training module), and the TrainConfig fields
+    among them are kept in `config_extras` for train, lists as tuples.
     ValueError on a key that is neither a flag of any subcommand nor a
     TrainConfig field, and on a value of the wrong JSON type for its flag or
     TrainConfig field."""
@@ -398,8 +396,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str] | None,
     (subparsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {a.dest for a in sub._actions if a.dest != "help"} for name, sub in subparsers.items()}
     own, any_flag = flags[args.command], set().union(*flags.values())
-    outside = set(values) - (own if args.command == "train" else any_flag)
-    fields = typing.get_type_hints(training.TrainConfig) if outside else {}
+    fields = typing.get_type_hints(training.TrainConfig) if set(values) - any_flag else {}
     unknown = sorted(set(values) - any_flag - set(fields))
     if unknown:
         raise ValueError(f"{args.config}: unknown keys {', '.join(unknown)}")
