@@ -37,7 +37,7 @@ for keep in (0.3, 0.6, 1.0):
     mask = full & (rng.random(full.shape) < keep) if keep < 1.0 else full
     if not mask.any():
         continue
-    rel, _, index = bisim.empirical_lfp(dataset_from_mask(mask))
+    rel, index = bisim.empirical_lfp(dataset_from_mask(mask))
     global_pairs = {
         (int(index.obs_ids[i]), int(index.obs_ids[j])) for i, j in rel.pairs()
     }

@@ -34,7 +34,7 @@ assert np.all(ds.successors[~inc] == np.maximum(ds.sources[~inc] - 1, 0))
 print("transitions match clamped counter dynamics")
 
 # with this much data the empirical bisimulation already separates all counts
-rel, _, index = bisim.empirical_lfp(ds)
+rel, index = bisim.empirical_lfp(ds)
 print(f"empirical relation: {index.num_sources} sources, "
       f"{rel.count()} distinguishable ordered pairs "
       f"(all pairs = {index.num_sources * (index.num_sources - 1)})")

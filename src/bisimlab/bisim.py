@@ -287,13 +287,12 @@ def empirical_apply_F(
 
 def empirical_lfp(
     ds: dataset.TransitionDataset, aux_tol: float = 0.0
-) -> tuple[PairRelation, PairRelation, dataset.CoObservedIndex]:
+) -> tuple[PairRelation, dataset.CoObservedIndex]:
     """Least fixed point of F_D from the empty relation.
 
-    Returns (R*_D, B*_D, index) where both relations are over the dataset's
-    dense source indices. B*_D is the complement restricted to O_D x O_D and
-    is returned as a relation (it need not be transitive under partial
-    coverage).
+    Returns (R*_D, index), R*_D over the dataset's dense source indices. Its
+    complement restricted to O_D x O_D need not be transitive under partial
+    coverage.
 
     Partition first: _refine splits the sources, seeded with their aux
     labels, by the blocks of their successors, with one sink state standing
@@ -308,7 +307,7 @@ def empirical_lfp(
     of bisimulation blocks; at worst, k = m.
     """
     index = build_co_observed_index(ds)
-    m, na = index.has_action.shape
+    m, na = index.succ_dense.shape
     labels = aux_labels(index.aux, aux_tol)
     sink = np.full((1, na), m)
     succ = np.vstack([np.where(index.succ_dense < 0, m, index.succ_dense), sink])
@@ -317,12 +316,11 @@ def empirical_lfp(
     _, rep, block_of = np.unique(block_of[:m], return_index=True, return_inverse=True)
     succ_block = np.append(block_of, -1)[succ[rep]]
     blocks = dataset.CoObservedIndex(obs_ids=index.obs_ids[rep], aux=labels[rep].astype(np.float64).reshape(-1, 1),
-                                     has_action=succ_block >= 0, succ_dense=succ_block)
+                                     succ_dense=succ_block)
     rel = PairRelation.empty(rep.shape[0])
     while True:
         nxt = empirical_apply_F(blocks, rel)
         if nxt == rel:
             break
         rel = nxt
-    bits = rel.bits[block_of][:, block_of]
-    return PairRelation(bits), PairRelation(~bits), index
+    return PairRelation(rel.bits[block_of][:, block_of]), index

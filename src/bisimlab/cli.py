@@ -130,7 +130,7 @@ def cmd_empirical_bisim(args) -> int:
     try:
         _check_aux_tol(args.aux_tol)
         ds = dataset.load_dataset(args.dataset)
-        r_star_d, _, index = bisim.empirical_lfp(ds, args.aux_tol)
+        r_star_d, index = bisim.empirical_lfp(ds, args.aux_tol)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)
@@ -171,10 +171,13 @@ def cmd_collect(args) -> int:
 
 
 def _load_collected(dataset_path: str, channels: int) -> counting_env.CollectedData:
-    """The dataset and its frames.bsli; OSError or ValueError when either is missing or malformed."""
+    """The dataset and its frames.bsli; OSError or ValueError when either is missing or malformed,
+    or the dataset holds no records."""
     import numpy as np
 
     ds = dataset.load_dataset(dataset_path)
+    if not len(ds):
+        raise ValueError(f"{dataset_path}: holds no records")
     errors = ds.validate()
     if errors:
         raise ValueError(f"{dataset_path}: " + "; ".join(errors))
@@ -299,7 +302,11 @@ def cmd_verify(args) -> int:
         params, _ = nn.load_checkpoint(args.checkpoint)
         embs = _embeddings_for_checkpoint(args, params)
         _check_fits_mdp(params, embs, task.num_observations)
-        report = analysis.verify_no_collapse(embs, bisim.partition_refine(task), eps_collapse)
+        part = bisim.partition_refine(task)
+        report = analysis.verify_no_collapse(embs, part, eps_collapse)
+        if part.num_blocks > 1 and not report.pairs_checked:
+            raise ValueError(f"no pair of the {len(embs)} sampled embeddings lies in different blocks of the MDP's "
+                             f"{part.num_blocks}, so none would be checked; raise --sample-size")
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = Path(args.out_dir)

@@ -105,29 +105,24 @@ class TransitionDataset:
         # the last record of each source gives its aux, bit for bit (signs of zeros too)
         last = np.zeros(m, dtype=np.int64)
         np.maximum.at(last, src, np.arange(n))
-        has_action = np.zeros((m, self.num_actions), dtype=bool)
-        has_action[src, self.actions] = True
         # valid, so repeated (source, action) records share a successor
         succ_dense = np.full((m, self.num_actions), -1, dtype=np.int64)
         succ_dense[src, self.actions] = np.where(is_source[rank[n:]], dense[rank[n:]], -1)
-        return [], CoObservedIndex(obs_ids=ids[is_source], aux=self.aux[last], has_action=has_action,
-                                   succ_dense=succ_dense)
+        return [], CoObservedIndex(obs_ids=ids[is_source], aux=self.aux[last], succ_dense=succ_dense)
 
 
 @dataclass
 class CoObservedIndex:
-    """Sources appearing in a dataset, plus per-action coverage and successors.
+    """Sources appearing in a dataset, with their aux vectors and successors.
 
     obs_ids maps dense source index -> original observation id, in increasing
-    order. has_action[k, a] says source k has a record for action a;
-    succ_dense[k, a] is the successor's dense index, or -1 when the successor
-    never appears as a source or source k has no record for action a. aux is
-    each source's aux vector.
+    order. succ_dense[k, a] is the successor's dense index, or -1 when source
+    k has no record for action a or its successor never appears as a source.
+    aux is each source's aux vector.
     """
 
     obs_ids: np.ndarray  # int [m]
     aux: np.ndarray  # float [m, d_p]
-    has_action: np.ndarray  # bool [m, |A|]
     succ_dense: np.ndarray  # int [m, |A|], -1 when successor not a source or action missing
 
     @property

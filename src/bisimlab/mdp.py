@@ -136,10 +136,17 @@ def save_mdp_json(mdp: DeterministicMDP, path: str) -> None:
 MDP_JSON_KEYS = ("num_observations", "num_actions", "transition", "aux", "reward", "initial_dist")
 
 
-def _nested_list(value, types: tuple[type, ...]) -> bool:
-    """True for a list of values of exactly these types (so true/false is no number), or of such lists."""
-    return isinstance(value, list) and all(
-        _nested_list(v, types) if isinstance(v, list) else type(v) in types for v in value)
+def _flat(value, types: tuple[type, ...], length: int) -> bool:
+    """True for a list of `length` values of exactly these types (so true/false is no number)."""
+    return isinstance(value, list) and len(value) == length and all(type(v) in types for v in value)
+
+
+def _table(value, types: tuple[type, ...], rows: int, width: int | None = None) -> bool:
+    """True for `rows` lists of `width` (by default the first row's length) >= 1 values of exactly these types."""
+    if not _flat(value, (list,), rows):
+        return False
+    width = len(value[0]) if width is None else width
+    return width >= 1 and all(_flat(row, types, width) for row in value)
 
 
 def load_mdp_json(path: str) -> DeterministicMDP:
@@ -152,24 +159,27 @@ def load_mdp_json(path: str) -> DeterministicMDP:
     if missing:
         raise ValueError(f"invalid MDP file {path}: missing " + ", ".join(missing))
     for key in ("num_observations", "num_actions"):
-        if type(payload[key]) is not int:
-            raise ValueError(f"invalid MDP file {path}: {key} must be an integer, got {json.dumps(payload[key])}")
-    if not _nested_list(payload["transition"], (int,)):
-        raise ValueError(f"invalid MDP file {path}: transition must be a list of integers")
-    for key in ("aux", "reward", "initial_dist"):
-        if not _nested_list(payload[key], (int, float)):
-            raise ValueError(f"invalid MDP file {path}: {key} must be a list of numbers")
-    try:
-        n, na = payload["num_observations"], payload["num_actions"]
-        mdp = DeterministicMDP(
-            num_observations=n,
-            num_actions=na,
-            transition=np.asarray(payload["transition"], dtype=np.int64).reshape(n, na),
-            aux=np.asarray(payload["aux"], dtype=np.float64).reshape(n, -1),
-            reward=np.asarray(payload["reward"], dtype=np.float64),
-            initial_dist=np.asarray(payload["initial_dist"], dtype=np.float64),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an id past int64
+        if type(payload[key]) is not int or payload[key] < 1:
+            raise ValueError(f"invalid MDP file {path}: {key} must be a positive integer, got {json.dumps(payload[key])}")
+    n, na = payload["num_observations"], payload["num_actions"]
+    real = (int, float)
+    # each array's accepted layouts, even where another one holds as many values
+    layouts = {
+        "transition": (_flat(payload["transition"], (int,), n * na) or _table(payload["transition"], (int,), n, na),
+                       f"{n * na} integers or {n} rows of {na} integers"),
+        "aux": (_flat(payload["aux"], real, n) or _table(payload["aux"], real, n),
+                f"{n} numbers or {n} rows of d >= 1 numbers each"),
+        "reward": (_flat(payload["reward"], real, n), f"{n} numbers"),
+        "initial_dist": (_flat(payload["initial_dist"], real, n), f"{n} numbers"),
+    }
+    for key, (fits, expected) in layouts.items():
+        if not fits:
+            raise ValueError(f"invalid MDP file {path}: {key} must be {expected}")
+    try:  # OverflowError: an id past int64, or an integer past the largest float
+        mdp = DeterministicMDP(n, na, np.asarray(payload["transition"], dtype=np.int64).reshape(n, na),
+                               np.asarray(payload["aux"], dtype=np.float64).reshape(n, -1),
+                               payload["reward"], payload["initial_dist"])
+    except OverflowError as exc:
         raise ValueError(f"invalid MDP file {path}: {exc}") from exc
     errors = validate_mdp(mdp)
     if errors:

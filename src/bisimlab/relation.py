@@ -15,7 +15,6 @@ exact for any relation, repeated rows or not; see their docstrings.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,40 +143,30 @@ def write_relation_csv(rel: PairRelation, path: str, ids: np.ndarray | None = No
     """One "i,j" line per unordered pair i < j of the relation, in row order.
 
     `ids` maps matrix indices to the observation ids written; by default the
-    indices themselves. Each matrix row becomes one write.
+    indices themselves. Each matrix row with a pair becomes one write.
 
-    A row whose bits occur once is written from its own columns. The first
-    row i0 of a class of equal rows keeps its lines as one text of
-    "\\0<j>\\n" lines, for its columns j > i0, with the offset of each line.
-    A later member i > i0 has the same columns, and its lines are those with
-    j > i: the text cut at the first such line (a binary search of the
-    columns), with i's name put in place of each "\\0". Names are decimal
-    numbers, so they hold no "\\0", and the bytes are those of the
-    row-by-row path.
+    Rows of a class of equal rows share their columns. The first row i0 of a
+    class keeps its columns j > i0 and their names until the class's last
+    row is written. Every row i, i0 included, writes the kept names from the
+    first column past i (a binary search of the columns), each after i's
+    own name.
     """
     n = rel.num_observations
     names = [str(v) for v in (range(n) if ids is None else np.asarray(ids).tolist())]
     rep_of = _row_classes(rel.bits)
-    left = np.bincount(rep_of, minlength=n).tolist()  # members of each class not yet written
-    kept: dict[int, tuple[str, list[int], list[int]]] = {}  # first row -> (text, its columns, line offsets)
+    last = {r: i for i, r in enumerate(rep_of)}  # each class's last row
+    kept: dict[int, tuple[list[int], list[str]]] = {}  # first row -> (its columns past it, their names)
     with open(path, "w") as fh:
         fh.write("i,j\n")
-        for i, row in enumerate(rel.bits):
-            r = rep_of[i]
+        for i, r in enumerate(rep_of):
             if r == i:
-                js = (np.flatnonzero(row[i + 1 :]) + (i + 1)).tolist()
-                if left[i] == 1:
-                    if js:
-                        head = names[i] + ","
-                        fh.write(head + ("\n" + head).join(map(names.__getitem__, js)) + "\n")
-                    continue
-                lines = ["\0" + names[j] + "\n" for j in js]
-                kept[i] = ("".join(lines), js, [0, *itertools.accumulate(map(len, lines))])
-            text, js, offsets = kept[r]
-            fh.write(text[offsets[bisect.bisect_right(js, i)] :].replace("\0", names[i] + ","))
-            left[r] -= 1
-            if not left[r]:
-                del kept[r]
+                js = (np.flatnonzero(rel.bits[i, i + 1 :]) + (i + 1)).tolist()
+                kept[i] = (js, [names[j] for j in js])
+            js, js_names = kept.pop(r) if last[r] == i else kept[r]
+            k = bisect.bisect_right(js, i)
+            if k < len(js):
+                head = names[i] + ","
+                fh.write(head + ("\n" + head).join(js_names[k:]) + "\n")
 
 
 def write_partition_csv(part: Partition, path: str) -> None:

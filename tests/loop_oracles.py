@@ -49,14 +49,12 @@ def build_co_observed_index(ds: TransitionDataset) -> CoObservedIndex:
     m = obs_ids.shape[0]
     dense = {int(o): k for k, o in enumerate(obs_ids.tolist())}
     aux = np.zeros((m, ds.aux_dim))
-    has_action = np.zeros((m, ds.num_actions), dtype=bool)
     succ_dense = np.full((m, ds.num_actions), -1, dtype=np.int64)
     for s, a, t, p in zip(ds.sources.tolist(), ds.actions.tolist(), ds.successors.tolist(), ds.aux):
         k = dense[s]
         aux[k] = p
-        has_action[k, a] = True
         succ_dense[k, a] = dense.get(t, -1)
-    return CoObservedIndex(obs_ids=obs_ids, aux=aux, has_action=has_action, succ_dense=succ_dense)
+    return CoObservedIndex(obs_ids=obs_ids, aux=aux, succ_dense=succ_dense)
 
 
 def relation_csv(rel: PairRelation, ids: np.ndarray | None = None) -> str:
@@ -140,16 +138,13 @@ def empirical_apply_F(index: CoObservedIndex, rel: PairRelation, aux_tol: float 
     out = aux_disagreement(index.aux, aux_tol)
     padded = np.zeros((m + 1, m + 1), dtype=bool)
     padded[:m, :m] = rel.bits
-    for a in range(index.has_action.shape[1]):
-        has = index.has_action[:, a]
+    for a in range(index.succ_dense.shape[1]):
         succ = np.where(index.succ_dense[:, a] < 0, m, index.succ_dense[:, a])
-        clause = padded[np.ix_(succ, succ)]
-        clause &= has[:, None] & has[None, :]
-        out |= clause
+        out |= padded[np.ix_(succ, succ)]
     return PairRelation(out)
 
 
-def empirical_lfp(ds: TransitionDataset, aux_tol: float = 0.0) -> tuple[PairRelation, PairRelation, CoObservedIndex]:
+def empirical_lfp(ds: TransitionDataset, aux_tol: float = 0.0) -> tuple[PairRelation, CoObservedIndex]:
     """F_D's least fixed point by sweeps over the whole m x m relation."""
     index = build_co_observed_index(ds)
     rel = PairRelation.empty(index.num_sources)
@@ -158,7 +153,7 @@ def empirical_lfp(ds: TransitionDataset, aux_tol: float = 0.0) -> tuple[PairRela
         if nxt == rel:
             break
         rel = nxt
-    return rel, PairRelation(~rel.bits), index
+    return rel, index
 
 
 def distinguishing_oracle(mdp: DeterministicMDP, max_depth: int, aux_tol: float = 0.0) -> PairRelation:

@@ -127,7 +127,7 @@ def test_criterion_3_empirical_soundness_monotonicity(capsys):
             if not mask.any():
                 rels[key] = None
                 continue
-            rel, _, index = bisim.empirical_lfp(_dataset_from_mask(mdp, mask))
+            rel, index = bisim.empirical_lfp(_dataset_from_mask(mdp, mask))
             rels[key] = (rel, index)
 
         # R*_D1 subset of R*_D2 subset of R* restricted to observed sources

@@ -283,6 +283,6 @@ def test_oracle_triangle_with_aux_tol(seed, tol):
     actions = np.tile(np.arange(mdp.num_actions), n)
     ds = TransitionDataset(num_observations=n, num_actions=mdp.num_actions, sources=sources, actions=actions,
                            successors=mdp.transition[sources, actions], aux=mdp.aux[sources])
-    r_star_d, _, index = empirical_lfp(ds, tol)
+    r_star_d, index = empirical_lfp(ds, tol)
     assert index.obs_ids.tolist() == list(range(n))
     assert r_star_d == r_star

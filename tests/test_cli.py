@@ -15,7 +15,7 @@ import bisimlab
 from bisimlab import cli, nn
 from bisimlab.cli import main
 from bisimlab.dataset import TransitionDataset, load_dataset, load_frame_sidecar, save_dataset, save_frame_sidecar
-from bisimlab.mdp import counting_abstract_mdp, random_mdp, save_mdp_json
+from bisimlab.mdp import DeterministicMDP, counting_abstract_mdp, random_mdp, save_mdp_json
 from bisimlab.train import collected_train_data
 
 
@@ -598,13 +598,16 @@ def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_with_no_pair_to_check_writes_json(tmp_path, capsys, collected_dir):
-    # one sampled frame leaves no cross-block pair, so there is no minimum distance: null, not NaN
-    dataset = collected_dir / "dataset.bslb"
-    ckpt = _image_checkpoint(tmp_path, capsys, dataset)
+def test_verify_with_no_pair_to_check_writes_json(tmp_path, capsys, tabular_checkpoint):
+    # nine self-looping states with one aux value form one block: no cross-block
+    # pair, so there is no minimum distance (null, not NaN), and the pass is vacuous
+    n = 9
+    task = DeterministicMDP(n, 2, np.repeat(np.arange(n)[:, None], 2, axis=1), np.zeros((n, 1)), np.zeros(n),
+                            np.full(n, 1.0 / n))
+    save_mdp_json(task, str(tmp_path / "mdp.json"))
     out = tmp_path / "out"
-    code, stdout, _ = run(["verify", "--checkpoint", str(ckpt), "--counting", "8", "4", "--dataset", str(dataset),
-                           "--sample-size", "1", "--eps-collapse", "0.1", "--out-dir", str(out)], capsys)
+    code, stdout, _ = run(["verify", "--checkpoint", str(tabular_checkpoint), "--mdp", str(tmp_path / "mdp.json"),
+                           "--eps-collapse", "0.1", "--out-dir", str(out)], capsys)
     assert code == 0
 
     def reject(constant):
@@ -614,6 +617,34 @@ def test_verify_with_no_pair_to_check_writes_json(tmp_path, capsys, collected_di
         report = json.loads(text, parse_constant=reject)
         assert report["pairs_checked"] == 0 and report["verdict"] == "pass"
         assert report["min_cross_class_distance"] is None
+        assert report["max_within_class_distance"] > 0
+
+
+def test_verify_sample_with_no_pair_to_check_exits_2(tmp_path, capsys, collected_dir):
+    # the counting MDP has several blocks, but one sampled frame makes no pair
+    dataset = collected_dir / "dataset.bslb"
+    ckpt = _image_checkpoint(tmp_path, capsys, dataset)
+    code, stdout, err = run(["verify", "--checkpoint", str(ckpt), "--counting", "8", "4", "--dataset", str(dataset),
+                             "--sample-size", "1", "--eps-collapse", "0.1", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2 and stdout == ""
+    assert err == ("error: no pair of the 1 sampled embeddings lies in different blocks of the MDP's 9, "
+                   "so none would be checked; raise --sample-size\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze", "verify"])
+def test_dataset_with_no_records_exits_2(tmp_path, capsys, collected_dir, command):
+    dataset = collected_dir / "dataset.bslb"
+    ckpt = _image_checkpoint(tmp_path, capsys, dataset) if command != "train" else None
+    save_dataset(TransitionDataset(9, 2, [], [], [], np.zeros((0, 1))), str(dataset))
+    if command == "train":
+        argv = ["train", "--preset", "reward_aux", "--steps", "2"]
+    else:
+        argv = [command, "--checkpoint", str(ckpt), *(["--counting", "8", "4"] if command == "verify" else [])]
+    code, _, err = run([*argv, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: {dataset}: holds no records\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -49,7 +49,6 @@ def test_no_shared_action_contributes_nothing():
     # x and y observed under different actions only; same aux
     ds = TransitionDataset(4, 2, [0, 1], [0, 1], [2, 3], [[0.0], [0.0]])
     index = build_co_observed_index(ds)
-    assert not np.any(index.has_action[0] & index.has_action[1])
     seeded = PairRelation.empty(2)
     seeded.bits[:] = True  # even a full relation cannot fire the successor clause
     np.fill_diagonal(seeded.bits, False)
@@ -61,16 +60,15 @@ def test_full_coverage_agrees_with_exact():
         rng = np.random.default_rng(seed)
         m = random_mdp(int(rng.integers(2, 25)), int(rng.integers(1, 4)), 2, rng)
         ds = full_coverage_dataset(m)
-        r_d, b_d, index = empirical_lfp(ds)
+        r_d, index = empirical_lfp(ds)
         r_star, _, _ = least_fixed_point(m)
         assert np.array_equal(index.obs_ids, np.arange(m.num_observations))
         assert r_d == r_star
-        assert np.array_equal(b_d.bits, ~r_star.bits)
 
 
 def test_single_record_empty_relation():
     ds = TransitionDataset(3, 1, [0], [0], [1], [[1.0]])
-    r_d, b_d, index = empirical_lfp(ds)
+    r_d, index = empirical_lfp(ds)
     assert index.num_sources == 1
     assert r_d.count() == 0
 
@@ -108,8 +106,8 @@ def test_monotonicity_and_soundness_nested_datasets():
             successors=d2.successors[:keep1],
             aux=d2.aux[:keep1],
         )
-        r1, _, i1 = empirical_lfp(d1)
-        r2, _, i2 = empirical_lfp(d2)
+        r1, i1 = empirical_lfp(d1)
+        r2, i2 = empirical_lfp(d2)
         r_star, _, _ = least_fixed_point(m)
         pairs1 = {(int(i1.obs_ids[i]), int(i1.obs_ids[j])) for i, j in zip(*np.nonzero(r1.bits))}
         pairs2 = {(int(i2.obs_ids[i]), int(i2.obs_ids[j])) for i, j in zip(*np.nonzero(r2.bits))}
@@ -128,8 +126,7 @@ def test_empirical_b_star_may_be_non_transitive():
         successors=[3, 1, 3, 2],
         aux=[[0.0], [0.0], [1.0], [0.0]],
     )
-    r_d, b_d, index = empirical_lfp(ds)
+    r_d, index = empirical_lfp(ds)
     # dense indices follow sorted obs ids 0,1,2,3
     assert r_d.bits[0, 1] and not r_d.bits[0, 2] and not r_d.bits[1, 2]
-    assert b_d.bits[0, 2] and b_d.bits[1, 2] and not b_d.bits[0, 1]
     assert not r_d.complement_is_transitive()

@@ -99,7 +99,7 @@ def test_validate_error_order():
 
 
 def _same_index(got, want):
-    for name in ("obs_ids", "aux", "has_action", "succ_dense"):
+    for name in ("obs_ids", "aux", "succ_dense"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name  # bytewise: signs of zeros too
@@ -123,7 +123,6 @@ def test_co_observed_index_marks_unseen_successors():
     index = build_co_observed_index(ds)
     assert index.obs_ids.tolist() == [1, 4]
     assert index.succ_dense.tolist() == [[1, -1], [-1, -1]]
-    assert index.has_action.tolist() == [[True, False], [True, True]]
 
 
 @st.composite
@@ -308,8 +307,7 @@ def test_empirical_gather_matches_ix(ds, tol, seed):
 def _same_empirical(ds, tol):
     got, want = empirical_lfp(ds, tol), loop_oracles.empirical_lfp(ds, tol)
     assert got[0] == want[0]
-    assert got[1] == want[1]
-    _same_index(got[2], want[2])
+    _same_index(got[1], want[1])
     return got
 
 
@@ -338,8 +336,8 @@ def test_empirical_lfp_compares_labels_not_representatives():
     # blocks are {0, 1} and {2}, and no pair is ever told apart.
     ds = TransitionDataset(3, 2, sources=[0, 1, 2], actions=[0, 0, 1], successors=[0, 1, 2],
                            aux=[[0.0], [0.6], [1.25]])
-    r_d, b_d, _ = _same_empirical(ds, 0.65)
-    assert r_d.count() == 0 and b_d.count() == 9
+    r_d, _ = _same_empirical(ds, 0.65)
+    assert r_d.count() == 0 and np.count_nonzero(~r_d.bits) == 9
     # the blocks' first members have aux 0 and 1.25, more than 0.65 apart
     trap = aux_disagreement(np.array([[0.0], [1.25]]), 0.65)[[0, 0, 1]][:, [0, 0, 1]]
     assert PairRelation(trap).count() == 4
@@ -349,9 +347,9 @@ def test_empirical_lfp_compares_labels_not_representatives():
 def test_empirical_lfp_on_tiny_datasets(records):
     ds = TransitionDataset(3, 2, sources=[1][:records], actions=[1][:records], successors=[2][:records],
                            aux=np.full((records, 1), 0.5))
-    r_d, b_d, index = _same_empirical(ds, 0.0)
+    r_d, index = _same_empirical(ds, 0.0)
     assert index.num_sources == records
-    assert r_d.count() == 0 and b_d.count() == records
+    assert r_d.count() == 0 and np.count_nonzero(~r_d.bits) == records
 
 
 def test_empirical_lfp_ignores_declared_observation_count(tmp_path):
@@ -362,7 +360,7 @@ def test_empirical_lfp_ignores_declared_observation_count(tmp_path):
     save_dataset(ds, str(path))
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        r_d, _, index = empirical_lfp(load_dataset(str(path)))
+        r_d, index = empirical_lfp(load_dataset(str(path)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,7 +388,7 @@ def test_empirical_lfp_on_full_coverage_runs_on_the_blocks(monkeypatch):
         return empirical_apply_F(index, rel, aux_tol)
 
     monkeypatch.setattr(bisim, "empirical_apply_F", recording)
-    r_d, _, _ = empirical_lfp(ds)
+    r_d, _ = empirical_lfp(ds)
     part = partition_refine(mdp)
     assert r_d == partition_to_relation(part)
     assert part.num_blocks < n and set(sizes) == {part.num_blocks}

@@ -146,6 +146,16 @@ def test_load_rejects_missing_keys(tmp_path_factory, dropped):
     ("initial_dist", ["0.2", 0.2, 0.2, 0.2, 0.2]),
     ("initial_dist", [math.nan, 0.25, 0.25, 0.25, 0.25]),
     ("reward", [math.nan, 1.0, 2.0, 3.0, 4.0]),
+    # shapes that hold the right number of values but are not the documented ones
+    ("transition", [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]),
+    ("transition", [[[0, 1]], [[2, 3]], [[4, 0]], [[1, 2]], [[3, 4]]]),
+    ("aux", [[0.0, 1.0, 0.0, 1.0, 0.0]]),
+    ("aux", [[[0.0]], [[1.0]], [[0.0]], [[1.0]], [[0.0]]]),
+    ("aux", [[], [], [], [], []]),
+    ("reward", [[0.0], [1.0], [2.0], [3.0], [4.0]]),
+    ("initial_dist", [[0.2, 0.2, 0.2, 0.2, 0.2]]),
+    ("num_observations", 0),
+    ("reward", [2**1100, 1.0, 2.0, 3.0, 4.0]),
 ])
 def test_load_rejects_bad_shapes_and_types(tmp_path, key, value):
     path = tmp_path / "mdp.json"
@@ -165,6 +175,16 @@ def test_load_accepts_nested_transition_rows(tmp_path):
     payload["transition"] = m.transition.tolist()
     path.write_text(json.dumps(payload))
     assert np.array_equal(load_mdp_json(str(path)).transition, m.transition)
+
+
+def test_load_accepts_flat_aux(tmp_path):
+    path = tmp_path / "mdp.json"
+    m = random_mdp(5, 2, 2, np.random.default_rng(0))
+    save_mdp_json(m, str(path))
+    payload = json.loads(path.read_text())
+    payload["aux"] = m.aux[:, 0].tolist()
+    path.write_text(json.dumps(payload))
+    assert np.array_equal(load_mdp_json(str(path)).aux, m.aux)
 
 
 def test_load_rejects_non_object(tmp_path):

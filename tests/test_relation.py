@@ -104,7 +104,7 @@ def dataset_with_256_complement_paths():
 
 def test_empirical_relation_with_256_complement_paths(tmp_path, capsys):
     ds = dataset_with_256_complement_paths()
-    r_d, _, index = empirical_lfp(ds)
+    r_d, index = empirical_lfp(ds)
     assert r_d.bits[0, 1] and r_d.count() == 2 * (1 + 258)
     assert not r_d.complement_is_transitive()
 
