@@ -73,7 +73,9 @@ def _input_error(exc: Exception) -> int:
 
 
 def _load_mdp(args) -> mdp.DeterministicMDP:
-    """The --counting or --mdp MDP; ValueError, before numpy loads, when neither flag is given."""
+    """The --counting or --mdp MDP; ValueError, before numpy loads, unless exactly one of them is given."""
+    if args.counting and args.mdp is not None:
+        raise ValueError("--mdp and --counting each name an MDP; give one")
     if args.counting:
         return mdp.counting_abstract_mdp(*args.counting)
     if args.mdp is None:
@@ -195,9 +197,11 @@ def cmd_train(args) -> int:
              "dyn_loss_enabled": False if args.no_dyn_loss else None}
     overrides = {**args.config_extras, **{k: v for k, v in flags.items() if v is not None}}
     try:
+        if args.dataset is not None and args.preset == "tabular_counting":
+            raise ValueError("--dataset holds image records, and the tabular_counting preset trains on one-hot states")
         config = presets.preset_train_config(args.preset, args.seed, **overrides)
         if args.dataset is not None:  # frames decoded with the channels the presets collect
-            collected = _load_collected(args.dataset, counting_env.CountingEnvConfig.channels)
+            collected = _load_collected(args.dataset, presets.IMAGE_CHANNELS)
             data = training.collected_train_data(collected)
         else:
             data = presets.preset_data(args.preset, args.seed)
@@ -224,10 +228,13 @@ def cmd_train(args) -> int:
 
 def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
     """Latents of every one-hot state, or of a sample of the --dataset frames;
-    OSError or ValueError when the dataset is absent, missing or malformed."""
+    OSError or ValueError when the dataset is given to a one-hot checkpoint,
+    or is absent, missing or malformed for an image one."""
     import numpy as np
 
     if params.config.obs_kind == "onehot":
+        if args.dataset is not None:
+            raise ValueError("a one-hot checkpoint embeds every state and reads no --dataset")
         n = params.config.obs_shape[0]
         obs = np.eye(n)
         labels = np.arange(n)
@@ -347,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--steps", type=int, default=presets.IMAGE_COLLECT_STEPS)
     p.add_argument("--action-repeat", type=int, default=presets.IMAGE_ACTION_REPEAT)
-    p.add_argument("--max-count", type=int, default=8)
-    p.add_argument("--target-n", type=int, default=4)
-    p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--max-count", type=int, default=presets.MAX_COUNT)
+    p.add_argument("--target-n", type=int, default=presets.TARGET_N)
+    p.add_argument("--image-size", type=int, default=presets.IMAGE_SIZE)
+    p.add_argument("--channels", type=int, default=presets.IMAGE_CHANNELS)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="train a preset")

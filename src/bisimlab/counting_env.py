@@ -40,10 +40,10 @@ GRACE_STEPS = 1
 
 @dataclass
 class CountingEnvConfig:
-    max_count: int = 8
-    target_n: int = 4
-    image_size: int = 32
-    channels: int = 1
+    max_count: int
+    target_n: int
+    image_size: int
+    channels: int
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -200,7 +200,7 @@ def _frame(obs: Observation) -> np.ndarray:
     return np.round(obs.pixels * 255).astype(np.uint8)
 
 
-def collect_dataset(config: CountingEnvConfig, steps: int, action_repeat: int = 4) -> CollectedData:
+def collect_dataset(config: CountingEnvConfig, steps: int, action_repeat: int) -> CollectedData:
     """Roll a uniform-random policy for `steps` transitions, drawing from default_rng(config.seed).
 
     Actions are drawn uniformly from [-1, 1] and held for `action_repeat`

@@ -169,8 +169,8 @@ def save_dataset(ds: TransitionDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> TransitionDataset:
-    """Read a BSLB file; ValueError for a bad magic or version, a short header or
-    payload, or bytes after the last record."""
+    """Read a BSLB file; ValueError for a bad magic or version, an aux width d_p
+    of 0, a short header or payload, or bytes after the last record."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -180,6 +180,8 @@ def load_dataset(path: str) -> TransitionDataset:
     version, num_obs, num_actions, aux_dim, count = _HEADER.unpack_from(raw, len(MAGIC))
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if not aux_dim:  # as in an MDP file, every observation carries at least one aux value
+        raise ValueError(f"{path}: aux width d_p is 0, and every record needs one aux value or more")
     dtype = _record_dtype(aux_dim)
     payload, need = len(raw) - _PAYLOAD_START, count * dtype.itemsize
     if payload != need:

@@ -34,9 +34,9 @@ class DeterministicMDP:
 
     def __post_init__(self) -> None:
         self.transition = np.asarray(self.transition, dtype=np.int64)
-        self.aux = np.atleast_2d(np.asarray(self.aux, dtype=np.float64))
-        if self.aux.shape[0] == 1 and self.num_observations > 1:
-            self.aux = self.aux.T
+        self.aux = np.asarray(self.aux, dtype=np.float64)
+        if self.aux.ndim < 2:  # one value per observation; a table is taken as given
+            self.aux = self.aux.reshape(-1, 1)
         self.reward = np.asarray(self.reward, dtype=np.float64).reshape(-1)
         self.initial_dist = np.asarray(self.initial_dist, dtype=np.float64).reshape(-1)
 
@@ -74,7 +74,7 @@ def validate_mdp(mdp: DeterministicMDP) -> list[str]:
     return errors
 
 
-def counting_abstract_mdp(max_count: int = 8, target_n: int = 4) -> DeterministicMDP:
+def counting_abstract_mdp(max_count: int, target_n: int) -> DeterministicMDP:
     """Count-chain MDP: states 0..max_count, actions inc/dec with clamping.
 
     Reward (and aux) is the indicator of count == target_n; initial

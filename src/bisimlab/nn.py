@@ -30,12 +30,12 @@ class ModelConfig:
     obs_kind: str  # "onehot" or "image"
     obs_shape: tuple[int, ...]  # (n,) for one-hot, (C, S, S) for images
     num_actions: int
-    latent_dim: int = 32
-    aux_dim: int = 1
-    encoder_hidden: tuple[int, ...] = (128, 64)
-    dynamics_hidden: int = 128
-    aux_hidden: int = 128
-    decoder_hidden: tuple[int, ...] = (128,)
+    latent_dim: int
+    aux_dim: int
+    encoder_hidden: tuple[int, ...]
+    dynamics_hidden: int
+    aux_hidden: int
+    decoder_hidden: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.obs_kind not in ("onehot", "image"):

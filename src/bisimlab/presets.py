@@ -6,9 +6,9 @@ lighter weights let the dynamics loss collapse the encoder before the reward
 signal anchors it. The reward_only preset drops the base learning rate to
 1e-5, which is what keeps that configuration from diverging.
 
-The CLI reads PRESET_NAMES and collect's defaults (IMAGE_COLLECT_STEPS,
-IMAGE_ACTION_REPEAT) to build its parser, so this module imports only the
-package's lazily registered modules, and never numpy itself.
+The counting task is stated here once (MAX_COUNT to IMAGE_ACTION_REPEAT) for the
+presets, the CLI's collect defaults and its frame decode. The CLI's parser reads it
+and PRESET_NAMES, so this module imports only lazily registered modules, never numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ PRESETS = {
 }
 PRESET_NAMES = tuple(PRESETS)
 
+MAX_COUNT = 8
+TARGET_N = 4
+IMAGE_SIZE = 32
+IMAGE_CHANNELS = 1
 IMAGE_COLLECT_STEPS = 6000
 IMAGE_ACTION_REPEAT = 4
 
@@ -38,7 +42,7 @@ def preset_train_config(name: str, seed: int, **overrides) -> training.TrainConf
 def preset_data(name: str, seed: int) -> training.TrainData:
     """Materialize the data a preset trains on (tabular tables or rollouts)."""
     if name == "tabular_counting":
-        return training.tabular_train_data(mdp.counting_abstract_mdp(8, 4))
-    env = counting_env.CountingEnvConfig(seed=seed)  # the image presets collect at its defaults
+        return training.tabular_train_data(mdp.counting_abstract_mdp(MAX_COUNT, TARGET_N))
+    env = counting_env.CountingEnvConfig(MAX_COUNT, TARGET_N, IMAGE_SIZE, IMAGE_CHANNELS, seed)
     collected = counting_env.collect_dataset(env, steps=IMAGE_COLLECT_STEPS, action_repeat=IMAGE_ACTION_REPEAT)
     return training.collected_train_data(collected)

@@ -177,17 +177,10 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     np.empty(8 << 20, dtype=np.uint8)
     rng = np.random.default_rng(config.seed)
     aux_targets = resolve_aux_targets(config, data)
-    model_config = ModelConfig(
-        obs_kind=data.obs_kind,
-        obs_shape=data.obs_shape,
-        num_actions=data.num_actions,
-        latent_dim=config.latent_dim,
-        aux_dim=aux_targets.shape[1],
-        encoder_hidden=config.encoder_hidden,
-        dynamics_hidden=config.dynamics_hidden,
-        aux_hidden=config.aux_hidden,
-        decoder_hidden=config.decoder_hidden,
-    )
+    model_config = ModelConfig(  # the widths are config's: ModelConfig states no default of its own
+        obs_kind=data.obs_kind, obs_shape=data.obs_shape, num_actions=data.num_actions, latent_dim=config.latent_dim,
+        aux_dim=aux_targets.shape[1], encoder_hidden=config.encoder_hidden, dynamics_hidden=config.dynamics_hidden,
+        aux_hidden=config.aux_hidden, decoder_hidden=config.decoder_hidden)
     params = init_params(model_config, rng)
     state = AdamState()
     eval_idx = rng.integers(0, len(data), size=min(EVAL_SIZE, max(len(data), 1)))

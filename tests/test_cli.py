@@ -310,6 +310,8 @@ def test_front_end_runs_without_numpy(tmp_path):
     errors = [["train", "--preset", "nope", "--out-dir", out], ["bisim", "--out-dir", out],
               ["bisim", "--counting", "8", "4", "--aux-tol", "-1", "--out-dir", out],
               ["verify", "--checkpoint", "x.pjpa", "--out-dir", out],
+              ["bisim", "--mdp", "x.json", "--counting", "8", "4", "--out-dir", out],
+              ["train", "--preset", "tabular_counting", "--dataset", "x.bslb", "--out-dir", out],
               *([*argv, "--out-dir", out] for argv in FLAG_CHECKS_BEFORE_INPUT)]
     runs = python_with_src(FRONT_END_PROBE, repr(helps + errors))
     assert runs == [["import", None, []]] + [[argv, 0, []] for argv in helps] + \
@@ -514,11 +516,15 @@ def collected_dir(tmp_path, capsys):
     return tmp_path / "data"
 
 
-@pytest.mark.parametrize("damage", ["missing", "short-header", "short-payload", "trailing"])
+@pytest.mark.parametrize("damage", ["missing", "short-header", "short-payload", "trailing", "aux-width-0"])
 def test_empirical_bisim_bad_dataset_exits_2(tmp_path, capsys, collected_dir, damage):
     raw = (collected_dir / "dataset.bslb").read_bytes()
     bad = tmp_path / "bad.bslb"
-    if damage == "short-header":
+    if damage == "aux-width-0":  # d_p = 0, each record its 12 id bytes alone: no source would carry an aux
+        count = int.from_bytes(raw[20:28], "little")
+        ids = np.frombuffer(raw, dtype="<u4", offset=28).reshape(count, -1)[:, :3]
+        bad.write_bytes(raw[:16] + bytes(4) + raw[20:28] + ids.tobytes())
+    elif damage == "short-header":
         bad.write_bytes(raw[:20])
     elif damage == "short-payload":
         bad.write_bytes(raw[:-1])
@@ -644,6 +650,44 @@ def test_dataset_with_no_records_exits_2(tmp_path, capsys, collected_dir, comman
     code, _, err = run([*argv, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err == f"error: {dataset}: holds no records\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_one_hot_checkpoint_with_dataset_exits_2(tmp_path, capsys, tabular_checkpoint, command):
+    # the dataset does not exist: a command that ignored the flag would never notice
+    argv = [command, "--checkpoint", str(tabular_checkpoint), "--dataset", str(tmp_path / "absent.bslb"),
+            *(["--counting", "8", "4"] if command == "verify" else []), "--out-dir", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == "error: a one-hot checkpoint embeds every state and reads no --dataset\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_tabular_preset_with_dataset_exits_2(tmp_path, capsys, collected_dir):
+    # the image records would train a model of the tabular preset's widths, recorded as tabular_counting
+    argv = ["train", "--preset", "tabular_counting", "--dataset", str(collected_dir / "dataset.bslb"), "--steps", "2"]
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: --dataset holds image records, and the tabular_counting preset trains on one-hot states\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bisim", "verify"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_both_mdp_and_counting_exit_2(tmp_path, capsys, tabular_checkpoint, command, source):
+    # the MDP file does not exist: a command that let --counting win would never open it
+    mdp_path = str(tmp_path / "absent.json")
+    argv = [command, *(["--checkpoint", str(tabular_checkpoint)] if command == "verify" else [])]
+    if source == "flags":
+        argv += ["--mdp", mdp_path, "--counting", "8", "4"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mdp": mdp_path, "counting": [8, 4]}))
+        argv = ["--config", str(cfg), *argv]
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: --mdp and --counting each name an MDP; give one\n"
     assert not (tmp_path / "out").exists()
 
 

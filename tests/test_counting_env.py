@@ -104,7 +104,7 @@ def test_binarize_action_sign_convention():
 
 
 def test_collect_single_step():
-    data = collect_dataset(small_config(), steps=1)
+    data = collect_dataset(small_config(), steps=1, action_repeat=4)
     assert len(data.dataset) == 1
     assert data.source_frames.shape[0] == 1
 
@@ -135,15 +135,15 @@ def test_collect_action_repeat_draw_count(monkeypatch):
 
 
 def test_collect_seed_determinism():
-    a = collect_dataset(small_config(), steps=60)
-    b = collect_dataset(small_config(), steps=60)
+    a = collect_dataset(small_config(), steps=60, action_repeat=4)
+    b = collect_dataset(small_config(), steps=60, action_repeat=4)
     assert np.array_equal(a.dataset.sources, b.dataset.sources)
     assert np.array_equal(a.source_frames, b.source_frames)
     assert np.array_equal(a.successor_frames, b.successor_frames)
 
 
 def test_collect_satisfies_dataset_invariants():
-    data = collect_dataset(small_config(), steps=300)
+    data = collect_dataset(small_config(), steps=300, action_repeat=4)
     assert data.dataset.validate() == []
     # count-level determinism: successor is a pure function of (count, sign)
     inc = data.dataset.actions == ACTION_INC

@@ -107,8 +107,8 @@ def test_ppm_color_frame_decoded_as_gray_raises():
 
 
 def test_sidecar_roundtrip(tmp_path):
-    config = CountingEnvConfig(image_size=16, channels=3, seed=0)
-    data = collect_dataset(config, steps=10)
+    config = CountingEnvConfig(max_count=8, target_n=4, image_size=16, channels=3, seed=0)
+    data = collect_dataset(config, steps=10, action_repeat=4)
     path = str(tmp_path / "frames.bsli")
     frames = data.ppm_frames()
     save_frame_sidecar(frames, path)
@@ -158,7 +158,8 @@ def test_bytes_after_the_last_sidecar_frame_fail_its_decoding(tmp_path):
 
 def _collected_files(tmp_path):
     """dataset.bslb and frames.bsli of a short real collect."""
-    collected = collect_dataset(CountingEnvConfig(image_size=8, channels=1, seed=0), steps=12)
+    collected = collect_dataset(CountingEnvConfig(max_count=8, target_n=4, image_size=8, channels=1, seed=0), steps=12,
+                                action_repeat=4)
     save_dataset(collected.dataset, str(tmp_path / "dataset.bslb"))
     save_frame_sidecar(collected.ppm_frames(), str(tmp_path / "frames.bsli"))
     return (tmp_path / "dataset.bslb").read_bytes(), (tmp_path / "frames.bsli").read_bytes()

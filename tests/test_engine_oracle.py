@@ -113,7 +113,7 @@ def test_blocks_cover_every_parameter(monkeypatch):
     """Small blocks that straddle the encoder boundary change nothing."""
     import bisimlab.optim
 
-    config = ModelConfig(obs_kind="onehot", obs_shape=(7,), num_actions=2, latent_dim=3,
+    config = ModelConfig(obs_kind="onehot", obs_shape=(7,), num_actions=2, latent_dim=3, aux_dim=1,
                          encoder_hidden=(4,), dynamics_hidden=5, aux_hidden=5, decoder_hidden=())
     rng = np.random.default_rng(1)
     params = init_params(config, rng)
@@ -130,7 +130,7 @@ def test_blocks_cover_every_parameter(monkeypatch):
 
 
 def test_non_finite_loss_raises_like_the_tape():
-    config = ModelConfig(obs_kind="onehot", obs_shape=(4,), num_actions=2, latent_dim=3,
+    config = ModelConfig(obs_kind="onehot", obs_shape=(4,), num_actions=2, latent_dim=3, aux_dim=1,
                          encoder_hidden=(), dynamics_hidden=3, aux_hidden=3, decoder_hidden=())
     rng = np.random.default_rng(2)
     params = init_params(config, rng)

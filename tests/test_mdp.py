@@ -34,6 +34,19 @@ def test_validate_unnormalized_initial_dist():
     assert any("initial_dist not normalized" in e for e in validate_mdp(m))
 
 
+def test_aux_table_of_one_row_is_taken_as_given():
+    # one row of three values for three observations is a wrong row count, not a 3 x 1 aux read sideways
+    m = DeterministicMDP(3, 1, [[0], [1], [2]], [[0.0, 1.0, 2.0]], [0, 0, 0], [1 / 3] * 3)
+    assert m.aux.shape == (1, 3)
+    assert validate_mdp(m) == ["aux has 1 rows, expected 3"]
+
+
+def test_flat_aux_is_one_value_per_observation():
+    m = DeterministicMDP(3, 1, [[0], [1], [2]], [0.0, 1.0, 2.0], [0, 0, 0], [1 / 3] * 3)
+    assert m.aux.tolist() == [[0.0], [1.0], [2.0]]
+    assert validate_mdp(m) == []
+
+
 def test_counting_8_4_tables():
     m = counting_abstract_mdp(8, 4)
     assert m.num_observations == 9

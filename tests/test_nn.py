@@ -24,6 +24,7 @@ def tiny_config(latent_dim=8):
         obs_shape=(1, 4, 4),
         num_actions=2,
         latent_dim=latent_dim,
+        aux_dim=1,
         encoder_hidden=(6,),
         dynamics_hidden=6,
         aux_hidden=6,
@@ -82,16 +83,16 @@ def test_identical_observations_identical_rows():
 
 
 def test_image_preprocessing_shift():
-    cfg = ModelConfig(obs_kind="image", obs_shape=(1, 4, 4), num_actions=2,
-                      latent_dim=3, encoder_hidden=())
+    cfg = ModelConfig(obs_kind="image", obs_shape=(1, 4, 4), num_actions=2, latent_dim=3, aux_dim=1,
+                      encoder_hidden=(), dynamics_hidden=128, aux_hidden=128, decoder_hidden=(128,))
     params = init_params(cfg, np.random.default_rng(0))
     obs = np.random.default_rng(1).random((2, 1, 4, 4))
     z = encode(params, obs)
     expected = (obs.reshape(2, -1) - 0.5) @ params.encoder[0].W.data + params.encoder[0].b.data
     assert np.allclose(z, expected)
     # one-hot inputs pass through unshifted
-    cfg1 = ModelConfig(obs_kind="onehot", obs_shape=(5,), num_actions=2,
-                       latent_dim=3, encoder_hidden=())
+    cfg1 = ModelConfig(obs_kind="onehot", obs_shape=(5,), num_actions=2, latent_dim=3, aux_dim=1,
+                       encoder_hidden=(), dynamics_hidden=128, aux_hidden=128, decoder_hidden=(128,))
     p1 = init_params(cfg1, np.random.default_rng(0))
     onehot = np.eye(5)[:2]
     assert np.allclose(encode(p1, onehot), onehot @ p1.encoder[0].W.data + p1.encoder[0].b.data)

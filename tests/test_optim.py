@@ -7,7 +7,7 @@ from bisimlab.optim import ENCODER_LR_SCALE, EPS, AdamState, adam_step
 
 def make_params():
     cfg = ModelConfig(obs_kind="onehot", obs_shape=(4,), num_actions=2,
-                      latent_dim=3, encoder_hidden=(), dynamics_hidden=4,
+                      latent_dim=3, aux_dim=1, encoder_hidden=(), dynamics_hidden=4,
                       aux_hidden=4, decoder_hidden=())
     return init_params(cfg, np.random.default_rng(0))
 

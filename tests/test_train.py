@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisimlab.counting_env import CountingEnvConfig, collect_dataset
 from bisimlab.fixtures import perfect_fit_params
 from bisimlab.mdp import counting_abstract_mdp, random_mdp
 from bisimlab.presets import PRESET_NAMES, preset_train_config
 from bisimlab.train import (
     DivergenceError,
     TrainConfig,
+    collected_train_data,
     load_checkpoint,
     model_config_echo,
     random_linear_aux,
@@ -62,7 +64,7 @@ def test_each_step_calls_loss_and_grads_and_adam_step_once_through_the_module(mo
 
 
 def test_tabular_train_data_shapes():
-    mdp = counting_abstract_mdp()
+    mdp = counting_abstract_mdp(8, 4)
     data = tabular_train_data(mdp)
     assert len(data) == 18
     assert data.obs.shape == (18, 9)
@@ -75,7 +77,7 @@ def test_tabular_train_data_shapes():
 
 
 def test_training_is_deterministic():
-    mdp = counting_abstract_mdp()
+    mdp = counting_abstract_mdp(8, 4)
     data = tabular_train_data(mdp)
     r1 = train(small_config(), data)
     r2 = train(small_config(), data)
@@ -88,21 +90,21 @@ def test_training_is_deterministic():
 
 
 def test_seed_changes_trajectory():
-    data = tabular_train_data(counting_abstract_mdp())
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
     r1 = train(small_config(seed=0), data)
     r2 = train(small_config(seed=1), data)
     assert r1.metrics != r2.metrics
 
 
 def test_loss_decreases_on_tabular():
-    data = tabular_train_data(counting_abstract_mdp())
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
     result = train(small_config(steps=600, base_lr=1e-3), data)
     first, last = result.metrics[0], result.metrics[-1]
     assert last["total"] < first["total"]
 
 
 def test_metrics_rows_have_expected_keys():
-    data = tabular_train_data(counting_abstract_mdp())
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
     result = train(small_config(), data)
     assert {r["step"] for r in result.metrics} == {20, 40, 60}
     for row in result.metrics:
@@ -121,7 +123,7 @@ def test_random_linear_aux_is_frozen_and_scaled():
 
 
 def test_resolve_aux_targets_modes():
-    data = tabular_train_data(counting_abstract_mdp())
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
     reward = resolve_aux_targets(TrainConfig(aux_mode="reward"), data)
     assert np.array_equal(reward, data.reward_aux)
     rand = resolve_aux_targets(TrainConfig(aux_mode="random:5"), data)
@@ -175,7 +177,7 @@ def test_preset_names_keep_their_order_and_unknown_names_are_rejected():
 
 
 def test_divergence_raises():
-    data = tabular_train_data(counting_abstract_mdp())
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
     with pytest.raises(DivergenceError):
         train(small_config(base_lr=1e120, steps=50), data)
 
@@ -204,11 +206,35 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_best_params_tracked():
-    data = tabular_train_data(counting_abstract_mdp())
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
     result = train(small_config(steps=1500, base_lr=3e-3, eval_every=100), data)
     assert 0.0 <= result.best_centroid_acc <= 1.0
     final_accs = [r["centroid_acc"] for r in result.metrics if r["centroid_acc"] is not None]
     assert result.best_centroid_acc >= max(final_accs)
+
+
+@pytest.mark.parametrize("case", ["image", "tabular_counting"])
+def test_decoder_probe_leaves_the_model_and_its_outcomes_unchanged(case):
+    """The probe trains on detached latents, Adam is element-wise and init_params
+    draws the probe's weights either way, so turning it off moves nothing else:
+    the criterion-6/7/8 fixtures train without it on that premise."""
+    if case == "image":
+        env = CountingEnvConfig(max_count=8, target_n=4, image_size=8, channels=1, seed=0)
+        data = collected_train_data(collect_dataset(env, steps=200, action_repeat=4))
+        config = small_config(steps=60)
+    else:
+        data = tabular_train_data(counting_abstract_mdp(8, 4))
+        config = preset_train_config(case, seed=0, steps=1000)
+    on = train(config, data)
+    off = train(dataclasses.replace(config, decoder_enabled=False), data)
+    for a, b in ((on.params, off.params), (on.best_params, off.best_params)):
+        for component in ("encoder", "dynamics", "aux_head"):
+            assert np.array_equal(a.flat[a.segment(component)], b.flat[b.segment(component)]), component
+    assert on.best_centroid_acc == off.best_centroid_acc
+    for key in ("dyn_loss", "aux_loss", "total", "centroid_acc"):
+        assert [row[key] for row in on.metrics] == [row[key] for row in off.metrics], key
+    assert all(row["decoder_loss"] > 0 for row in on.metrics)
+    assert all(row["decoder_loss"] == 0 for row in off.metrics)
 
 
 def _saved_checkpoint(tmp_path):

@@ -76,8 +76,7 @@ def train_data(pkg: dict, preset: str):
         code = cli.main(["collect", "--steps", str(COLLECT_STEPS), "--seed", str(SEED), "--out-dir", tmp])
         if code != 0:
             raise RuntimeError(f"collect exited {code}")
-        channels = pkg["counting_env"].CountingEnvConfig.channels  # what the image presets decode
-        collected = cli._load_collected(str(Path(tmp) / "dataset.bslb"), channels)
+        collected = cli._load_collected(str(Path(tmp) / "dataset.bslb"), pkg["presets"].IMAGE_CHANNELS)
     return pkg["train"].collected_train_data(collected)
 
 
