@@ -221,40 +221,41 @@ def cmd_train(args) -> int:
     _write_manifest(out, {"command": "train", "preset": args.preset, "seed": args.seed,
                           "train_config": echo["train_config"]},
                     [ckpt_path, metrics_path])
-    _report({"best_centroid_acc": result.best_centroid_acc,
+    _report({"best_centroid_acc": result.best_centroid_acc, "best_step": result.best_step,
+             "best_eval_dyn_loss": result.best_eval.dyn_loss, "best_eval_aux_loss": result.best_eval.aux_loss,
              "final": result.metrics[-1] if result.metrics else None})
     return EXIT_OK
 
 
-def _embeddings_for_checkpoint(args, params) -> analysis.EmbeddingSet:
-    """Latents of every one-hot state, or of a sample of the --dataset frames;
-    OSError or ValueError when the dataset is given to a one-hot checkpoint,
-    or is absent, missing or malformed for an image one."""
+def _embeddings_for_checkpoint(args, params) -> tuple[analysis.EmbeddingSet, dataset.TransitionDataset | None]:
+    """Latents of min(--sample-size, n) of the n one-hot states or --dataset
+    source frames, drawn with --seed, and the dataset (None for a one-hot
+    checkpoint); OSError or ValueError when the dataset is given to a one-hot
+    checkpoint, or is absent, missing or malformed for an image one."""
     import numpy as np
 
+    ds = None
     if params.config.obs_kind == "onehot":
         if args.dataset is not None:
             raise ValueError("a one-hot checkpoint embeds every state and reads no --dataset")
         n = params.config.obs_shape[0]
-        obs = np.eye(n)
-        labels = np.arange(n)
+        obs, labels = np.eye(n), np.arange(n)
     elif args.dataset is None:
         raise ValueError("image checkpoints need --dataset")
     else:
         collected = _load_collected(args.dataset, params.config.obs_shape[0])
-        rng = np.random.default_rng(args.seed)
-        idx = rng.choice(len(collected.dataset), size=min(args.sample_size, len(collected.dataset)),
-                         replace=False)
-        obs = collected.source_frames[idx].astype(np.float64) / 255.0
-        labels = collected.dataset.sources[idx]
-    return analysis.EmbeddingSet(vectors=nn.encode(params, obs), labels=labels)
+        ds = collected.dataset
+        obs, labels = collected.source_frames, ds.sources
+    idx = np.random.default_rng(args.seed).choice(len(labels), size=min(args.sample_size, len(labels)), replace=False)
+    sample = obs[idx] if ds is None else obs[idx] / 255.0
+    return analysis.EmbeddingSet(vectors=nn.encode(params, sample), labels=labels[idx]), ds
 
 
 def cmd_analyze(args) -> int:
     try:
         _check_sample_size(args.sample_size)
         params, _ = nn.load_checkpoint(args.checkpoint)
-        embs = _embeddings_for_checkpoint(args, params)
+        embs, _ = _embeddings_for_checkpoint(args, params)
         proj, fractions, _ = analysis.pca_2d(embs)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
@@ -278,14 +279,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _check_fits_mdp(params, embs: analysis.EmbeddingSet, num_observations: int) -> None:
-    """ValueError when the checkpoint's observations are not the MDP's."""
-    if params.config.obs_kind == "onehot" and params.config.obs_shape[0] != num_observations:
-        raise ValueError(f"checkpoint encodes {params.config.obs_shape[0]} one-hot observations, "
-                         f"the MDP has {num_observations}")
-    if len(embs) and embs.labels.max() >= num_observations:
-        raise ValueError(f"observation id {embs.labels.max()} is out of range "
-                         f"for an MDP with {num_observations} observations")
+def _check_fits_mdp(params, ds: dataset.TransitionDataset | None, task: mdp.DeterministicMDP) -> None:
+    """ValueError unless the checkpoint's observations are the MDP's: a one-hot
+    checkpoint must encode its |O| states, and a dataset must declare its |O|,
+    |A| and aux width and hold, in every record, the MDP's successor and the
+    source's aux."""
+    import numpy as np
+
+    if ds is None:
+        if params.config.obs_shape[0] != task.num_observations:
+            raise ValueError(f"checkpoint encodes {params.config.obs_shape[0]} one-hot observations, "
+                             f"the MDP has {task.num_observations}")
+        return
+    have = (ds.num_observations, ds.num_actions, ds.aux_dim)
+    want = (task.num_observations, task.num_actions, task.aux_dim)
+    if have != want:
+        raise ValueError(f"the dataset has |O|, |A|, aux width {have}, the MDP {want}")
+    successors, aux = task.transition[ds.sources, ds.actions], task.aux[ds.sources]
+    wrong = np.flatnonzero((ds.successors != successors) | (ds.aux != aux).any(axis=1))
+    if wrong.size:
+        k = wrong[0]
+        raise ValueError(f"dataset record {k} ({ds.sources[k]}, {ds.actions[k]}) goes to {ds.successors[k]} with aux "
+                         f"{ds.aux[k].tolist()}, where the MDP goes to {successors[k]} with aux {aux[k].tolist()}")
 
 
 def _eps_collapse(value) -> float | None:
@@ -307,8 +322,8 @@ def cmd_verify(args) -> int:
         _check_sample_size(args.sample_size)
         task = _load_mdp(args)
         params, _ = nn.load_checkpoint(args.checkpoint)
-        embs = _embeddings_for_checkpoint(args, params)
-        _check_fits_mdp(params, embs, task.num_observations)
+        embs, ds = _embeddings_for_checkpoint(args, params)
+        _check_fits_mdp(params, ds, task)
         part = bisim.partition_refine(task)
         report = analysis.verify_no_collapse(embs, part, eps_collapse)
         if part.num_blocks > 1 and not report.pairs_checked:

@@ -1,10 +1,11 @@
 """Object-counting environment with rendered image observations.
 
-Episodes fix a shape and color at reset; each step, the sign of a continuous
-action in [-1, 1] increments or decrements the object count (clamped to
-[0, max_count]) and object positions are resampled. Reward is 1 exactly when
-the count equals the target; the episode ends a fixed number of grace steps
-after the first success.
+`collect_dataset` is the environment's one entry point: it rolls a random
+policy through episodes that fix a shape and color at reset, while the sign
+of a continuous action in [-1, 1] increments or decrements the object count
+(clamped to [0, max_count]) and object positions are resampled each step. A
+record's aux (the reward) is 1 exactly when its source count equals the
+target; an episode ends a fixed number of grace steps after the first success.
 
 All randomness flows through numpy's PCG64 generator seeded from the config,
 so every rollout is a pure function of (config, seed).
@@ -34,7 +35,7 @@ PALETTE = np.array(
     ]
 )
 
-# steps an episode runs on after its first success
+# steps an episode runs on after its count first equals target_n
 GRACE_STEPS = 1
 
 
@@ -57,23 +58,6 @@ class CountingEnvConfig:
     @property
     def object_size(self) -> int:
         return max(2, self.image_size // 8)
-
-
-@dataclass
-class Observation:
-    pixels: np.ndarray  # float [C, S, S] in [0, 1]
-    count: int  # ground-truth label; analysis-only, never fed to the model
-
-
-@dataclass
-class EpisodeState:
-    config: CountingEnvConfig
-    rng: np.random.Generator
-    count: int
-    shape: str
-    color: np.ndarray
-    succeeded: bool = False
-    steps_since_success: int = 0
 
 
 def shape_mask(shape: str, size: int) -> np.ndarray:
@@ -143,38 +127,6 @@ def render(
     return img
 
 
-def env_reset(config: CountingEnvConfig, rng: np.random.Generator) -> tuple[Observation, EpisodeState]:
-    """Start an episode: sample count uniformly, fix shape and color."""
-    count = int(rng.integers(0, config.max_count + 1))
-    shape = SHAPES[int(rng.integers(0, len(SHAPES)))]
-    color = PALETTE[int(rng.integers(0, len(PALETTE)))]
-    state = EpisodeState(config=config, rng=rng, count=count, shape=shape, color=color)
-    obs = Observation(pixels=render(count, shape, color, config, rng), count=count)
-    return obs, state
-
-
-def env_step(state: EpisodeState, action: float) -> tuple[Observation, float, bool]:
-    """Apply the sign of `action`, re-render, and handle success/termination."""
-    if not np.isfinite(action):
-        raise ValueError("action must be finite")
-    config = state.config
-    if binarize_action(action) == ACTION_INC:
-        state.count = min(state.count + 1, config.max_count)
-    else:
-        state.count = max(state.count - 1, 0)
-    reward = 1.0 if state.count == config.target_n else 0.0
-    if state.succeeded:
-        state.steps_since_success += 1
-    if reward == 1.0 and not state.succeeded:
-        state.succeeded = True
-    done = state.steps_since_success >= GRACE_STEPS
-    obs = Observation(
-        pixels=render(state.count, state.shape, state.color, config, state.rng),
-        count=state.count,
-    )
-    return obs, reward, done
-
-
 @dataclass
 class CollectedData:
     """Transition dataset at the count level plus raw rendered frames."""
@@ -196,54 +148,69 @@ def binarize_action(action: float) -> int:
     return ACTION_DEC if action < 0 else ACTION_INC
 
 
-def _frame(obs: Observation) -> np.ndarray:
-    return np.round(obs.pixels * 255).astype(np.uint8)
-
-
 def collect_dataset(config: CountingEnvConfig, steps: int, action_repeat: int) -> CollectedData:
     """Roll a uniform-random policy for `steps` transitions, drawing from default_rng(config.seed).
 
-    Actions are drawn uniformly from [-1, 1] and held for `action_repeat`
-    consecutive steps. Records live at the count level (source count, sign,
-    successor count, reward-of-source); raw frames are stored side by side,
-    keyed by record index.
+    An episode starts from a uniformly drawn count, shape and color, and keeps
+    its shape and color. Each step moves the count by the sign of the action
+    (clamped to [0, max_count]) and renders it at new positions. An episode
+    ends GRACE_STEPS steps after its count first equals target_n, and the next
+    one starts at once. Actions are drawn uniformly from [-1, 1] and held for
+    `action_repeat` consecutive steps, across resets. Records live at the
+    count level (source count, sign, successor count, 1 when the source count
+    is the target, else 0); raw frames are stored side by side, keyed by
+    record index.
     """
     if steps <= 0:
         raise ValueError("steps must be > 0")
     if action_repeat < 1:
         raise ValueError("action_repeat must be >= 1")
     rng = np.random.default_rng(config.seed)
-    sources, actions, successors, aux = [], [], [], []
-    src_frames, succ_frames = [], []
-    obs, state = env_reset(config, rng)
-    frame = _frame(obs)
+
+    def rendered(count: int, shape: str, color: np.ndarray) -> np.ndarray:
+        return np.round(render(count, shape, color, config, rng) * 255).astype(np.uint8)
+
+    def reset() -> tuple[int, str, np.ndarray, np.ndarray]:
+        """A new episode's first count, the shape and color it keeps, and its first frame."""
+        count = int(rng.integers(0, config.max_count + 1))
+        shape = SHAPES[int(rng.integers(0, len(SHAPES)))]
+        color = PALETTE[int(rng.integers(0, len(PALETTE)))]
+        return count, shape, color, rendered(count, shape, color)
+
+    sources, actions, successors, src_frames, succ_frames = [], [], [], [], []
+    count, shape, color, frame = reset()
+    since_success = -1  # steps since the episode's count first equalled target_n; -1 before that
     action = float(rng.uniform(-1.0, 1.0))
     since_resample = 0
     for _ in range(steps):
         if since_resample >= action_repeat:
             action = float(rng.uniform(-1.0, 1.0))
             since_resample = 0
-        prev_count = state.count
-        src_frames.append(frame)
-        obs, _, done = env_step(state, action)
-        frame = _frame(obs)  # the successor's frame, and the next record's source unless the episode ends
-        succ_frames.append(frame)
         since_resample += 1
-        sources.append(prev_count)
-        actions.append(binarize_action(action))
-        successors.append(state.count)
-        aux.append(1.0 if prev_count == config.target_n else 0.0)
-        if done:
+        sign = binarize_action(action)
+        sources.append(count)
+        actions.append(sign)
+        src_frames.append(frame)
+        count = min(count + 1, config.max_count) if sign == ACTION_INC else max(count - 1, 0)
+        successors.append(count)
+        frame = rendered(count, shape, color)  # the successor's, and the next source unless the episode ends
+        succ_frames.append(frame)
+        if since_success >= 0:
+            since_success += 1
+        elif count == config.target_n:
+            since_success = 0
+        if since_success >= GRACE_STEPS:
             # the action-repeat schedule is step-based and survives resets
-            obs, state = env_reset(config, rng)
-            frame = _frame(obs)
+            count, shape, color, frame = reset()
+            since_success = -1
+    sources = np.array(sources)
     dataset = TransitionDataset(
         num_observations=config.max_count + 1,
         num_actions=2,
-        sources=np.array(sources),
+        sources=sources,
         actions=np.array(actions),
         successors=np.array(successors),
-        aux=np.array(aux).reshape(-1, 1),
+        aux=(sources == config.target_n).astype(np.float64).reshape(-1, 1),
     )
     return CollectedData(
         dataset=dataset,

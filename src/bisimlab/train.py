@@ -15,7 +15,7 @@ import numpy as np
 # counting_env and mdp name annotations only: reached through their lazy modules, neither runs here
 from bisimlab import counting_env, mdp
 from bisimlab.analysis import nearest_centroid_accuracy
-from bisimlab.nn import Batch, ModelConfig, ModelParams, encode, init_params, loss_and_grads
+from bisimlab.nn import Batch, LossReport, ModelConfig, ModelParams, encode, init_params, joint_loss, loss_and_grads
 # the .pjpa checkpoint format lives in nn, beside the model layout; its entry points stay
 # importable here, where the tests and bench/ (checks.py reads, tracing.py wraps the writer) find them
 from bisimlab.nn import load_checkpoint, model_config_echo, save_checkpoint  # noqa: F401
@@ -153,6 +153,8 @@ class TrainResult:
     params: ModelParams
     best_params: ModelParams
     best_centroid_acc: float
+    best_step: int
+    best_eval: LossReport  # best_params' losses over the evaluation sample, 0 for an inactive loss
     metrics: list[dict]
 
     def write_metrics_jsonl(self, path: str) -> None:
@@ -168,7 +170,8 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     accuracy of a fixed evaluation sample of min(EVAL_SIZE, len(data))
     records, drawn with replacement from the records the minibatches draw (it
     is not held out). `best_params` are the parameters of the first evaluation
-    that reached the best accuracy; `params` are the last step's.
+    that reached the best accuracy, those of step `best_step`; `params` are the
+    last step's.
     """
     # glibc's malloc maps each block above its mmap threshold afresh and returns a free heap top above its
     # trim threshold to the system. Both start at 128 KiB and rise only when a mapped block is freed, so
@@ -184,12 +187,13 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
     params = init_params(model_config, rng)
     state = AdamState()
     eval_idx = rng.integers(0, len(data), size=min(EVAL_SIZE, max(len(data), 1)))
-    eval_obs = data.obs[eval_idx]
+    eval_batch = Batch(obs=data.obs[eval_idx], actions=data.actions[eval_idx], next_obs=data.next_obs[eval_idx],
+                       aux_targets=aux_targets[eval_idx])
     eval_labels = data.labels[eval_idx]
 
     metrics: list[dict] = []
     best_params = params.copy()
-    best_acc = -1.0
+    best_acc, best_step = -1.0, 0
     centroid_acc: float | None = None
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(data), size=config.batch_size)
@@ -213,13 +217,14 @@ def train(config: TrainConfig, data: TrainData) -> TrainResult:
             raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
         adam_step(params, grads, state, base_lr=config.base_lr)
         if step % config.eval_every == 0 or step == config.steps:
-            embs = encode(params, eval_obs)
+            embs = encode(params, eval_batch.obs)
             centroid_acc = nearest_centroid_accuracy(embs, eval_labels)
             if centroid_acc > best_acc:
-                best_acc = centroid_acc
+                best_acc, best_step = centroid_acc, step
                 best_params = params.copy()
         if step % config.report_every == 0 or step == config.steps:
             metrics.append({**asdict(report), "centroid_acc": centroid_acc})
-    return TrainResult(
-        params=params, best_params=best_params, best_centroid_acc=best_acc, metrics=metrics
-    )
+    best_eval, _ = joint_loss(best_params, eval_batch, config.c_p, config.dyn_loss_enabled, config.aux_enabled,
+                              decoder_enabled=False, step=best_step)
+    return TrainResult(params=params, best_params=best_params, best_centroid_acc=best_acc, best_step=best_step,
+                       best_eval=best_eval, metrics=metrics)

@@ -124,6 +124,30 @@ def test_collect_is_reproducible(tmp_path, capsys):
     assert digests[0] == digests[1]
 
 
+# sha256 of (dataset.bslb, frames.bsli) for `collect --steps 300 --seed <seed> --channels <channels>`;
+# a change to the collector that moves any draw, count or pixel moves them
+COLLECT_DIGESTS = {
+    (0, 1): ("976363f48bc3f8f776571a8442d6ceb12e0f5a54f047756b59f21c416c5f70e1",
+             "481e7d443413aa8d63c8e57955bd145f51d5e75c7b71bdf8159d7fc1682f1f93"),
+    (0, 3): ("976363f48bc3f8f776571a8442d6ceb12e0f5a54f047756b59f21c416c5f70e1",
+             "c0e0824ec5c959dbb045c10a3983dcf55adc660c43c24bc8d1e9808816f3d69f"),
+    (5, 1): ("5d2e5bbdfab030d5a7a298ab93754a330e493114c608374721b043282061a3ad",
+             "c7a2f23bfd99c67891082fff90f4d3a6b0638c107aca73c14d2f281a35e94bb7"),
+    (5, 3): ("5d2e5bbdfab030d5a7a298ab93754a330e493114c608374721b043282061a3ad",
+             "027e5c96d6772acc9686c5e1ee71256bde4c800c8caf57a3fbe38a834e0e4b9d"),
+}
+
+
+@pytest.mark.parametrize("seed, channels", list(COLLECT_DIGESTS))
+def test_collect_writes_the_pinned_bytes(tmp_path, capsys, seed, channels):
+    out = tmp_path / "data"
+    code, _, _ = run(["collect", "--steps", "300", "--seed", str(seed), "--channels", str(channels),
+                      "--out-dir", str(out)], capsys)
+    assert code == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("dataset.bslb", "frames.bsli"))
+    assert digests == COLLECT_DIGESTS[seed, channels]
+
+
 def test_empirical_bisim_missing_dataset(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["empirical-bisim", "--out-dir", str(tmp_path)])
@@ -169,6 +193,28 @@ def test_train_analyze_verify_tabular(tmp_path, capsys):
          "--eps-collapse", "0.0", "--out-dir", v_dir], capsys
     )
     assert code == 0
+
+
+def test_train_summary_names_the_saved_step_and_its_losses(tmp_path, capsys):
+    from bisimlab.train import tabular_train_data
+
+    run_dir = tmp_path / "run"
+    code, stdout, _ = run(["train", "--preset", "tabular_counting", "--steps", "1200", "--out-dir", str(run_dir)],
+                          capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    # evaluations run at steps 500, 1000 and 1200; the checkpoint holds the first that reached the best accuracy
+    rows = {row["step"]: row for row in map(json.loads, (run_dir / "metrics.jsonl").read_text().splitlines())}
+    assert summary["best_step"] == next(step for step in (500, 1000, 1200)
+                                        if rows[step]["centroid_acc"] == summary["best_centroid_acc"])
+    # the losses are the checkpoint's, averaged over an evaluation sample of the 18 (state, action) records
+    params, _ = nn.load_checkpoint(str(run_dir / "checkpoint.pjpa"))
+    data = tabular_train_data(counting_abstract_mdp(8, 4))
+    z = nn.encode(params, data.obs)
+    dyn = np.mean((nn.predict_next(params, z, data.actions) - nn.encode(params, data.next_obs)) ** 2, axis=1)
+    aux = np.mean((nn.aux_predict(params, z) - data.reward_aux) ** 2, axis=1)
+    for key, per_record in (("best_eval_dyn_loss", dyn), ("best_eval_aux_loss", aux)):
+        assert per_record.min() <= summary[key] <= per_record.max()
 
 
 def test_train_divergence_exit_code(tmp_path, capsys):
@@ -370,6 +416,21 @@ def test_sample_size_below_1_exits_2_on_a_one_hot_checkpoint(tmp_path, capsys, t
     assert code == 2
     assert err == "error: --sample-size must be >= 1, not 0\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_one_hot_checkpoint_samples_its_states_with_sample_size_and_seed(tmp_path, capsys, tabular_checkpoint):
+    # the draw an image checkpoint's --dataset frames get, over the 9 states
+    drawn = {}
+    for seed in (5, 6):
+        out = tmp_path / f"seed{seed}"
+        code, _, _ = run(["analyze", "--checkpoint", str(tabular_checkpoint), "--sample-size", "3", "--seed", str(seed),
+                          "--out-dir", str(out)], capsys)
+        assert code == 0
+        labels = np.loadtxt(out / "pca.csv", delimiter=",", skiprows=1)[:, 2]
+        drawn[seed] = sorted(labels.astype(int).tolist())
+        assert drawn[seed] == sorted(np.random.default_rng(seed).choice(9, size=3, replace=False).tolist())
+        assert len((out / "distances.csv").read_text().splitlines()) == 3
+    assert drawn[5] != drawn[6]
 
 
 def test_default_collect_feeds_train_visible_objects(tmp_path, capsys, monkeypatch):
@@ -600,7 +661,30 @@ def test_verify_image_sources_outside_the_mdp_exit_2(tmp_path, capsys, collected
     code, _, err = run(["verify", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--counting", str(top - 1), "1",
                         "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
-    assert err == f"error: observation id {top} is out of range for an MDP with {top} observations\n"
+    assert err == f"error: the dataset has |O|, |A|, aux width (9, 2, 1), the MDP ({top}, 2, 1)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("collect, task, message", [
+    # 4 counts, aux at count 1, checked against the 9-count task: every sampled label is in range
+    (["--max-count", "3", "--target-n", "1"], ["--counting", "8", "4"],
+     "error: the dataset has |O|, |A|, aux width (4, 2, 1), the MDP (9, 2, 1)\n"),
+    (["--target-n", "2"], ["--counting", "8", "4"], "error: dataset record "),
+    (["--target-n", "4"], ["--mdp", "swapped.json"], "error: dataset record "),
+])
+def test_verify_dataset_of_another_task_exits_2(tmp_path, capsys, collect, task, message):
+    data = tmp_path / "data"
+    code, _, _ = run(["collect", *collect, "--image-size", "8", "--steps", "60", "--out-dir", str(data)], capsys)
+    assert code == 0
+    counting = counting_abstract_mdp(8, 4)  # the same counts and aux, with inc and dec swapped
+    save_mdp_json(dataclasses.replace(counting, transition=counting.transition[:, ::-1].copy()),
+                  str(tmp_path / "swapped.json"))
+    ckpt = _image_checkpoint(tmp_path, capsys, data / "dataset.bslb")
+    task = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in task]
+    code, stdout, err = run(["verify", "--checkpoint", str(ckpt), "--dataset", str(data / "dataset.bslb"), *task,
+                             "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

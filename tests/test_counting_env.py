@@ -3,13 +3,12 @@ import pytest
 
 from bisimlab import counting_env
 from bisimlab.counting_env import (
+    GRACE_STEPS,
     PALETTE,
     SHAPES,
     CountingEnvConfig,
     binarize_action,
     collect_dataset,
-    env_reset,
-    env_step,
     render,
     shape_mask,
 )
@@ -22,32 +21,95 @@ def small_config(**kw):
     return CountingEnvConfig(**defaults)
 
 
+def spied_collect(monkeypatch, config, steps, action_repeat=4):
+    """collect_dataset's records; the (count, shape, color) of every render
+    call, in order; for each record, the numbers of the calls that drew its
+    source and successor frames; and the episode each record belongs to. The
+    spy makes the real render's draws, then returns a frame that holds its call
+    number in base 256 in its first two pixels."""
+    calls = []
+
+    def spy_render(count, shape, color, config, rng):
+        render(count, shape, color, config, rng)
+        calls.append((count, shape, tuple(color)))
+        img = np.zeros((config.channels, config.image_size, config.image_size))
+        img[0, 0, :2] = divmod(len(calls) - 1, 256)
+        return img / 255
+
+    monkeypatch.setattr(counting_env, "render", spy_render)
+    data = collect_dataset(config, steps=steps, action_repeat=action_repeat)
+    src, succ = ((f[:, 0, 0, 0].astype(int) << 8) | f[:, 0, 0, 1] for f in (data.source_frames, data.successor_frames))
+    # a record starts an episode unless its source frame is the one its predecessor ended on
+    episode = np.cumsum(np.concatenate([[1], src[1:] != succ[:-1]])) - 1
+    return data.dataset, calls, src, succ, episode
+
+
 def test_reset_zero_count_is_dark():
-    config = small_config()
-    for seed in range(40):
-        obs, _ = env_reset(config, np.random.default_rng(seed))
-        if obs.count == 0:
-            assert obs.pixels.max() == 0.0
-            return
-    pytest.fail("no zero-count reset observed in 40 seeds")
+    data = collect_dataset(small_config(), steps=300, action_repeat=4)
+    ds = data.dataset
+    assert np.any(ds.sources == 0)
+    for frames, counts in ((data.source_frames, ds.sources), (data.successor_frames, ds.successors)):
+        lit = frames.reshape(len(frames), -1).max(axis=1) > 0
+        assert np.array_equal(lit, counts > 0)
 
 
-def test_reset_fixes_shape_and_color():
-    obs, state = env_reset(small_config(), np.random.default_rng(3))
-    assert state.shape in SHAPES
-    assert any(np.array_equal(state.color, c) for c in PALETTE)
-    shape, color = state.shape, state.color.copy()
-    for _ in range(5):
-        env_step(state, 0.5)
-    assert state.shape == shape
-    assert np.array_equal(state.color, color)
+def test_reset_fixes_shape_and_color(monkeypatch):
+    _, calls, src, succ, episode = spied_collect(monkeypatch, small_config(seed=3), steps=300)
+    assert episode[-1] > 5
+    for e in range(episode[-1] + 1):
+        drawn = {calls[k][1:] for k in np.concatenate([src[episode == e], succ[episode == e]])}
+        assert len(drawn) == 1
+        ((shape, color),) = drawn
+        assert shape in SHAPES
+        assert any(np.array_equal(color, c) for c in PALETTE)
+    assert len({call[1:] for call in calls}) > 1
 
 
 def test_reset_seed_determinism():
-    a, _ = env_reset(small_config(), np.random.default_rng(11))
-    b, _ = env_reset(small_config(), np.random.default_rng(11))
-    assert np.array_equal(a.pixels, b.pixels)
-    assert a.count == b.count
+    # the first reset, and every record after it, is a pure function of the seed: a longer run extends a shorter
+    short = collect_dataset(small_config(seed=11), steps=1, action_repeat=4)
+    long = collect_dataset(small_config(seed=11), steps=60, action_repeat=4)
+    assert short.dataset.sources[0] == long.dataset.sources[0]
+    assert np.array_equal(short.source_frames[0], long.source_frames[0])
+    assert np.array_equal(short.successor_frames[0], long.successor_frames[0])
+    other = collect_dataset(small_config(seed=12), steps=60, action_repeat=4)
+    assert not np.array_equal(other.source_frames, long.source_frames)
+
+
+def test_step_count_transitions_and_reward(monkeypatch):
+    ds, calls, src, succ, _ = spied_collect(monkeypatch, small_config(), steps=300)
+    up = (ds.sources == 3) & (ds.actions == ACTION_INC)
+    assert np.any(up)
+    assert np.all(ds.successors[up] == 4)
+    # aux is 1 exactly at the target, and each frame renders its record's count
+    assert np.array_equal(ds.aux[:, 0], (ds.sources == 4).astype(float))
+    assert [calls[k][0] for k in src] == ds.sources.tolist()
+    assert [calls[k][0] for k in succ] == ds.successors.tolist()
+
+
+def test_step_clamps_at_zero():
+    ds = collect_dataset(small_config(), steps=300, action_repeat=4).dataset
+    for count, action in ((0, ACTION_DEC), (8, ACTION_INC)):
+        clamped = (ds.sources == count) & (ds.actions == action)
+        assert np.any(clamped)
+        assert np.all(ds.successors[clamped] == count)
+        assert np.all(ds.aux[clamped, 0] == 0.0)
+
+
+def test_grace_step_then_done(monkeypatch):
+    # an episode ends GRACE_STEPS steps after its count first equals the target (its first count does
+    # not count), and a reset renders the next episode's first frame right after the step that ended it
+    assert GRACE_STEPS == 1
+    # at seed 0 the 296th step ends an episode, so the reset after the last step is checked too
+    ds, calls, src, succ, episode = spied_collect(monkeypatch, small_config(), steps=296)
+    assert episode[-1] > 5
+    starts = np.flatnonzero(np.diff(episode)) + 1
+    assert np.array_equal(src[starts], succ[starts - 1] + 1)
+    for e in range(episode[-1] + 1):
+        successors = ds.successors[episode == e].tolist()
+        ends = successors.index(4) + 1 + GRACE_STEPS if 4 in successors else float("inf")
+        assert len(successors) == ends if e < episode[-1] else len(successors) <= ends
+    assert len(calls) == succ[-1] + 1 + (len(successors) == ends)  # a last episode that ended is reset too
 
 
 def test_pixel_count_oracle():
@@ -63,38 +125,6 @@ def test_pixel_count_oracle():
         img = render(count, shape, color, config, rng)
         per_object = min_area * color.sum()
         assert img.sum() == pytest.approx(count * per_object)
-
-
-def test_step_count_transitions_and_reward():
-    obs, state = env_reset(small_config(), np.random.default_rng(0))
-    state.count = 3
-    obs, reward, _ = env_step(state, 0.7)
-    assert state.count == 4
-    assert reward == 1.0
-    assert obs.count == 4
-
-
-def test_step_clamps_at_zero():
-    _, state = env_reset(small_config(), np.random.default_rng(0))
-    state.count = 0
-    _, reward, _ = env_step(state, -1.0)
-    assert state.count == 0
-    assert reward == 0.0
-
-
-def test_grace_step_then_done():
-    _, state = env_reset(small_config(), np.random.default_rng(0))
-    state.count = 3
-    _, reward, done = env_step(state, 1.0)  # hits target 4
-    assert reward == 1.0 and not done
-    _, _, done = env_step(state, 1.0)  # one-step grace expires
-    assert done
-
-
-def test_step_rejects_non_finite_action():
-    _, state = env_reset(small_config(), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        env_step(state, float("nan"))
 
 
 def test_binarize_action_sign_convention():
@@ -153,9 +183,9 @@ def test_collect_satisfies_dataset_invariants():
 
 
 def test_single_channel_render():
-    config = small_config(channels=1)
-    obs, _ = env_reset(config, np.random.default_rng(2))
-    assert obs.pixels.shape == (1, 32, 32)
+    for channels in (1, 3):
+        data = collect_dataset(small_config(channels=channels, seed=2), steps=5, action_repeat=4)
+        assert data.source_frames.shape == data.successor_frames.shape == (5, channels, 32, 32)
 
 
 def test_config_validation():
