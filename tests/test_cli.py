@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -1055,6 +1056,48 @@ def test_module_entry_point_runs_without_warnings():
     done = python("-W", "error", "-m", "bisimlab.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: bisimlab")
+
+
+# enters the CLI as `python -m bisimlab.cli` does (runpy) or through cli.run, with the argv that
+# follows the entry's name; an atexit hook, which runs at teardown, prints whether the heap was frozen
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+entry, sys.argv = sys.argv[1], ["bisimlab", *sys.argv[2:]]
+if entry == "module":
+    runpy.run_module("bisimlab.cli", run_name="__main__")
+else:
+    import bisimlab.cli
+    bisimlab.cli.run()
+"""
+
+
+def test_every_exit_of_the_process_entry_freezes_the_heap(tmp_path, tabular_checkpoint):
+    """Teardown's full collections skip a frozen heap; main() itself, which
+    callers run many times in one process, leaves the freeze count alone."""
+    paths = [
+        (["--help"], 0),
+        (["bisim", "--counting", "8", "4", "--out-dir", "{out}"], 0),
+        (["bisim", "--counting", "8", "9", "--out-dir", "{out}"], 2),
+        (["train", "--preset", "nope"], 2),
+        (["verify", "--checkpoint", str(tabular_checkpoint), "--counting", "8", "4", "--eps-collapse", "1000.0",
+          "--out-dir", "{out}"], 3),
+    ]
+    for entry in ("module", "run"):
+        for k, (argv, code) in enumerate(paths):
+            out = tmp_path / entry / str(k)
+            done = python("-c", EXIT_PROBE, entry, *[a.format(out=out) for a in argv])
+            assert (done.returncode, done.stdout.splitlines()[-1]) == (code, "True"), (entry, argv, done.stderr)
+            if argv[0] == "bisim" and code == 0:  # each artifact was closed before the exit
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["artifacts"], "manifest.json"])
+                for name, digest in manifest["artifacts"].items():
+                    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    frozen = gc.get_freeze_count()
+    assert main(["bisim", "--counting", "8", "4", "--out-dir", str(tmp_path / "in-process")]) == 0
+    with pytest.raises(SystemExit):
+        main(["train", "--preset", "nope"])
+    assert gc.get_freeze_count() == frozen
 
 
 def test_tracing_leaves_no_wrapper_bound_in_lazily_loaded_modules():

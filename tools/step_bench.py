@@ -31,9 +31,7 @@ import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -42,6 +40,8 @@ for _var in ("BISIMLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
     os.environ[_var] = "1"  # before numpy loads
 
 import numpy as np  # noqa: E402
+
+from baseline import extract, resolve, summary  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = {"tabular_counting": 400, "reward_aux": 40}  # model -> timed steps per repeat
@@ -168,12 +168,6 @@ def matmul_floor(shapes, steps: int, rng: np.random.Generator) -> float:
     return statistics.median(times[WARMUP:]) * 1e3
 
 
-def summary(values: list[float]) -> dict[str, float]:
-    """Median and quartiles; one value is all three."""
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", required=True, help="git revision to compare with, e.g. HEAD~1")
@@ -184,12 +178,9 @@ def main() -> int:
         parser.error(f"--repeats must be at least 1, not {args.repeats}")
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.baseline], capture_output=True, text=True,
-                            check=True).stdout.strip()
+    commit = resolve(ROOT, args.baseline)
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src"], capture_output=True, check=True)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp)
+        extract(ROOT, commit, ["src"], Path(tmp))
         packages = {"parent": load_package(Path(tmp) / "src"), "change": load_package(ROOT / "src")}
     models = {}
     for preset, steps in MODELS.items():
