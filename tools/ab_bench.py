@@ -62,7 +62,7 @@ def compare(runs: list[dict], metric: str, a: str, b: str) -> dict:
     values = {k: [v for seed in per_seed.values() for v in seed.get(k, [])] for k in (a, b)}
     means = [(statistics.fmean(seed[a]), statistics.fmean(seed[b])) for seed in per_seed.values()]
     sa, sb = summary(values[a]), summary(values[b])
-    return {a: sa, b: sb, "ratio": round(sb["median"] / sa["median"], 4) if sa["median"] else None,
+    return {a: sa, b: sb, "ratio": round(sb["median"] / sa["median"], 4),
             "lower": sum(y < x for x, y in means), "pairs": len(means)}
 
 
